@@ -3,11 +3,13 @@
 Subcommands: ``bound`` (star/AK tables over a grid), ``enumerate`` (write
 all k-multisets in the family file format), ``compress`` (down-compress a
 family file with a step trace), ``search`` / ``verify`` (exact maximum and
-theorem check), ``table`` (re-run the acceptance identities as one CSV).
+theorem check), ``table`` (the acceptance battery as one CSV). Each
+subcommand accepts only the options it reads.
 
 Exit status: 0 success, 1 identity failure, 2 usage error, 3 budget
-exceeded. All numeric output is exact integers, and identical configuration
-plus seed yields byte-identical artifacts.
+exceeded, 4 internal fault (a failed runtime certificate or an unexpected
+exception). All numeric output is exact integers, and identical
+configuration plus seed yields byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -15,31 +17,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from math import comb
+import traceback
 from typing import Optional, Sequence
 
+from . import battery
 from . import bounds as bounds_mod
-from . import corpus as corpus_mod
 from .compression import CompressionStep, down_compress
-from .core import Family, count_multisets, enumerate_multisets, first_row, is_t_kernel
-from .errors import BudgetError, FormatError, MultiEkrError
+from .core import Family, enumerate_multisets
+from .corpus import DEFAULT_SEED
+from .errors import BudgetError, CertificationError, MultiEkrError
 from .search import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_VERTEX_BUDGET,
-    ORACLE_VERTEX_LIMIT,
-    build_kernel_family,
     max_t_intersecting,
     verify_theorem,
 )
-from .core import Multiset, intersect, l1_distance
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-DEFAULT_SEED = corpus_mod.DEFAULT_SEED
+EXIT_INTERNAL = 4
 
 
 def _parse_range(text: str) -> range:
@@ -57,118 +55,83 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: one subcommand plus its parameters."""
-
-    subcommand: str
-    n_range: Optional[range] = None
-    k_range: Optional[range] = None
-    t_range: Optional[range] = None
-    cap: Optional[int] = None
-    budget_vertices: int = DEFAULT_VERTEX_BUDGET
-    budget_nodes: int = DEFAULT_NODE_BUDGET
-    out_format: str = "csv"
-    seed: int = DEFAULT_SEED
-    in_path: Optional[str] = None
-    out_path: Optional[str] = None
-    trace_path: Optional[str] = None
-    witness_path: Optional[str] = None
-    quick: bool = False
-    vertex_limit: int = 500
-    corpus_size: int = 200
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out_path:
-        with open(config.out_path, "w", encoding="ascii") as fh:
+def _emit(out_path: Optional[str], text: str) -> None:
+    if out_path:
+        with open(out_path, "w", encoding="ascii") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _grid(config: RunConfig):
-    for n in config.n_range:
-        for k in config.k_range:
-            for t in config.t_range:
+def _grid(args: argparse.Namespace):
+    for n in args.n:
+        for k in args.k:
+            for t in args.t:
                 if 1 <= t <= k and n >= 1:
                     yield n, k, t
 
 
-def _cmd_bound(config: RunConfig) -> int:
-    reports = [bounds_mod.bound_report(n, k, t) for n, k, t in _grid(config)]
-    if config.out_format == "json":
+def _cmd_bound(args: argparse.Namespace) -> int:
+    reports = [bounds_mod.bound_report(n, k, t) for n, k, t in _grid(args)]
+    if args.format == "json":
         text = json.dumps([r.to_dict() for r in reports], sort_keys=True) + "\n"
     else:
         lines = [bounds_mod.BOUND_CSV_HEADER]
         lines.extend(r.csv_row() for r in reports)
         text = "\n".join(lines) + "\n"
-    _emit(config, text)
+    _emit(args.out, text)
     return EXIT_OK
 
 
-def _cmd_enumerate(config: RunConfig) -> int:
-    n = _single(config.n_range, "--n")
-    k = _single(config.k_range, "--k")
-    members = list(enumerate_multisets(n, k, config.cap))
-    fam = Family(members, n=n, k=k, height_cap=config.cap)
-    _emit(config, fam.to_text())
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    members = list(enumerate_multisets(args.n, args.k, args.cap))
+    fam = Family(members, n=args.n, k=args.k, height_cap=args.cap)
+    _emit(args.out, fam.to_text())
     return EXIT_OK
 
 
-def _single(rng: Optional[range], flag: str) -> int:
-    if rng is None or len(rng) != 1:
-        raise argparse.ArgumentTypeError(f"{flag} must be a single value here")
-    return rng[0]
-
-
-def _cmd_compress(config: RunConfig) -> int:
-    t = _single(config.t_range, "--t")
-    fam = Family.load(config.in_path)
+def _cmd_compress(args: argparse.Namespace) -> int:
+    fam = Family.load(args.in_path)
     steps: list[CompressionStep] = []
-    compressed = down_compress(fam, t, on_step=steps.append)
-    if config.trace_path:
+    compressed = down_compress(fam, args.t, on_step=steps.append)
+    if args.trace:
         lines = ["step,i,j,potential,size,kernel"]
         lines.extend(
             f"{s.step},{s.i},{s.j},{s.potential},{s.size},{int(s.kernel_ok)}"
             for s in steps
         )
-        with open(config.trace_path, "w", encoding="ascii") as fh:
+        with open(args.trace, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
-    _emit(config, compressed.to_text())
+    _emit(args.out, compressed.to_text())
     return EXIT_OK
 
 
-def _cmd_search(config: RunConfig) -> int:
-    results = []
-    witness_fam = None
-    points = list(_grid(config))
-    for n, k, t in points:
-        res = max_t_intersecting(
+def _cmd_search(args: argparse.Namespace) -> int:
+    points = list(_grid(args))
+    if args.witness and len(points) != 1:
+        raise argparse.ArgumentTypeError("--witness needs a single (n, k, t) grid point")
+    results = [
+        max_t_intersecting(
             n,
             k,
             t,
-            config.cap,
-            budget_vertices=config.budget_vertices,
-            budget_nodes=config.budget_nodes,
+            args.cap,
+            budget_vertices=args.budget_vertices,
+            budget_nodes=args.budget_nodes,
         )
-        results.append(res.to_dict())
-        witness_fam = res.witness
-    if config.witness_path:
-        if len(points) != 1 or witness_fam is None:
-            raise argparse.ArgumentTypeError(
-                "--witness needs a single (n, k, t) grid point"
-            )
-        witness_fam.save(config.witness_path)
-    _emit(config, json.dumps(results, sort_keys=True) + "\n")
+        for n, k, t in points
+    ]
+    if args.witness:
+        results[0].witness.save(args.witness)
+    _emit(args.out, json.dumps([r.to_dict() for r in results], sort_keys=True) + "\n")
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     lines = []
     reports = []
     all_sharp = True
-    for n, k, t in _grid(config):
+    for n, k, t in _grid(args):
         if n < 2 * k - t:
             lines.append(
                 f"n={n} k={k} t={t} SKIP (no proven bound below n=2k-t)"
@@ -178,209 +141,35 @@ def _cmd_verify(config: RunConfig) -> int:
             n,
             k,
             t,
-            budget_vertices=config.budget_vertices,
-            budget_nodes=config.budget_nodes,
+            budget_vertices=args.budget_vertices,
+            budget_nodes=args.budget_nodes,
         )
         reports.append(report)
         lines.append(report.summary())
         all_sharp = all_sharp and report.sharp
-    if config.out_format == "json":
+    if args.format == "json":
         text = json.dumps([r.to_dict() for r in reports], sort_keys=True) + "\n"
     else:
         text = "\n".join(lines) + "\n"
-    _emit(config, text)
+    _emit(args.out, text)
     return EXIT_OK if all_sharp else EXIT_IDENTITY
 
 
-# --------------------------------------------------------------------------
-# the identity table
-
-
-@dataclass
-class _Table:
-    rows: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-
-    def add(self, check: str, params: str, expected, actual) -> None:
-        ok = expected == actual
-        row = f"{check},{params},{expected},{actual},{'pass' if ok else 'FAIL'}"
-        self.rows.append(row)
-        if not ok:
-            self.failures.append(row)
-
-
-def _table_star_identity(table: _Table) -> None:
-    for k in range(2, 7):
-        for n in range(k + 1, 15):
-            table.add(
-                "star_identity_t1",
-                f"n={n};k={k};t=1",
-                comb(n + k - 2, k - 1),
-                bounds_mod.multiset_bound(n, k, 1),
-            )
-
-
-def _table_threshold(table: _Table) -> None:
-    for k in range(1, 7):
-        for t in range(1, k + 1):
-            for n in range(max(1, 2 * k - t), 21):
-                star = bounds_mod.star_bound(n, k, t)
-                full = bounds_mod.multiset_bound(n, k, t)
-                if bounds_mod.mp_threshold(n, k, t):
-                    table.add(
-                        "star_optimal_regime", f"n={n};k={k};t={t}", star, full
-                    )
-                elif k > t:
-                    # below the threshold the star is beaten whenever a
-                    # wider-window family exists, which needs k > t; at
-                    # k == t every family is a single multiset and both
-                    # bounds are 1
-                    table.add(
-                        "star_beaten_regime",
-                        f"n={n};k={k};t={t}",
-                        True,
-                        full > star,
-                    )
-
-
-def _table_sharpness(table: _Table, config: RunConfig) -> None:
-    limit = min(config.vertex_limit, ORACLE_VERTEX_LIMIT) if config.quick else config.vertex_limit
-    instances = [(7, 5, 3)]
-    for k in range(1, 5):
-        for t in range(1, k + 1):
-            n = max(1, 2 * k - t)
-            while count_multisets(n, k) <= limit:
-                instances.append((n, k, t))
-                n += 1
-    for n, k, t in sorted(set(instances)):
-        bound = bounds_mod.multiset_bound(n, k, t)
-        res = max_t_intersecting(
-            n, k, t,
-            budget_vertices=config.budget_vertices,
-            budget_nodes=config.budget_nodes,
+def _cmd_table(args: argparse.Namespace) -> int:
+    rows = list(
+        battery.rows(
+            quick=args.quick,
+            corpus_size=args.corpus_size,
+            seed=args.seed,
+            budget_vertices=args.budget_vertices,
+            budget_nodes=args.budget_nodes,
         )
-        table.add("sharpness", f"n={n};k={k};t={t}", bound, res.max_size)
-        if not config.quick and count_multisets(n, k) <= ORACLE_VERTEX_LIMIT:
-            oracle = max_t_intersecting(
-                n, k, t,
-                budget_vertices=config.budget_vertices,
-                budget_nodes=config.budget_nodes,
-                method="oracle",
-            )
-            table.add(
-                "sharpness_oracle", f"n={n};k={k};t={t}", bound, oracle.max_size
-            )
-
-
-def _table_kernel_family(table: _Table) -> None:
-    region = Multiset((1, 1, 1, 1, 1, 0, 0))
-    fam = build_kernel_family(7, 5, region, 4)
-    table.add(
-        "kernel_family_beats_star",
-        "n=7;k=5;t=3;|T|=5;r=4",
-        True,
-        len(fam) > bounds_mod.star_bound(7, 5, 3),
     )
-
-
-def _table_interval_lemma(table: _Table) -> None:
-    from .compression import IntervalFamily, interval_distance, phi_center
-
-    for k in range(1, 6):
-        violations = 0
-        top = 2 * k
-        for y1 in range(1, top + 1):
-            for end1 in range(y1, top + 1):
-                for p in range(1, end1 - y1 + 2):
-                    fam1 = IntervalFamily(k, p, tuple(range(y1, end1 - p + 2)))
-                    cfam1 = phi_center(fam1)
-                    for y2 in range(1, top + 1):
-                        for end2 in range(y2, top + 1):
-                            for q in range(1, end2 - y2 + 2):
-                                fam2 = IntervalFamily(
-                                    k, q, tuple(range(y2, end2 - q + 2))
-                                )
-                                before = interval_distance(fam1, fam2)
-                                after = interval_distance(cfam1, phi_center(fam2))
-                                if after < before:
-                                    violations += 1
-        table.add("interval_lemma", f"k={k}", 0, violations)
-
-
-def _table_algebra(table: _Table) -> None:
-    for n in range(1, 5):
-        for k in range(0, 5):
-            members = list(enumerate_multisets(n, k))
-            bad = 0
-            for f in members:
-                for g in members:
-                    if len(intersect(f, g)) != k - l1_distance(f, g) // 2:
-                        bad += 1
-            table.add("intersection_distance_identity", f"n={n};k={k}", 0, bad)
-    for n in range(1, 7):
-        for k in range(0, 7):
-            table.add(
-                "enumeration_count",
-                f"n={n};k={k}",
-                comb(n + k - 1, k),
-                count_multisets(n, k),
-            )
-
-
-def _table_corpus(table: _Table, config: RunConfig) -> None:
-    from .compression import potential
-    from .core import is_t_intersecting
-    from .search import lift_to_sets, support_profile
-
-    size = min(40, config.corpus_size) if config.quick else config.corpus_size
-    entries = corpus_mod.random_family_corpus(size, seed=config.seed)
-    for index, (n, k, t, fam) in enumerate(entries):
-        steps: list[CompressionStep] = []
-        compressed = down_compress(fam, t, on_step=steps.append)
-        pots = [potential(fam)] + [s.potential for s in steps]
-        ok = (
-            len(compressed) == len(fam)
-            and is_t_kernel(compressed, first_row(n), t)
-            and compressed.max_height() <= fam.max_height()
-            and all(a > b for a, b in zip(pots, pots[1:]))
-        )
-        table.add(
-            "compression_suite", f"index={index};n={n};k={k};t={t}", True, ok
-        )
-        lifted = lift_to_sets(compressed, t)
-        expected = sum(
-            cnt * comb(k - 1, k - s)
-            for s, cnt in support_profile(compressed).items()
-        )
-        lift_ok = (
-            len(lifted) == expected
-            and len(lifted) >= len(compressed)
-            and lifted.is_t_intersecting(t)
-        )
-        table.add(
-            "lifting_identity", f"index={index};n={n};k={k};t={t}", True, lift_ok
-        )
-
-
-def _cmd_table(config: RunConfig) -> int:
-    table = _Table()
-    _table_star_identity(table)
-    _table_threshold(table)
-    _table_kernel_family(table)
-    _table_algebra(table)
-    _table_interval_lemma(table)
-    _table_sharpness(table, config)
-    _table_corpus(table, config)
-    text = "check,params,expected,actual,status\n" + "\n".join(table.rows) + "\n"
-    _emit(config, text)
-    if table.failures:
-        for row in table.failures:
-            print(f"FAILED: {row}", file=sys.stderr)
-        return EXIT_IDENTITY
-    return EXIT_OK
-
-
-# --------------------------------------------------------------------------
+    _emit(args.out, "\n".join([battery.HEADER, *(r.csv() for r in rows)]) + "\n")
+    failures = [row for row in rows if not row.ok]
+    for row in failures:
+        print(f"FAILED: {row.csv()}", file=sys.stderr)
+    return EXIT_IDENTITY if failures else EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -393,116 +182,117 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, need_n=False, need_k=False, need_t=False):
-        p.add_argument("--n", type=_parse_range, required=need_n,
-                       help="ground-set size, A or A..B")
-        p.add_argument("--k", type=_parse_range, required=need_k,
-                       help="member cardinality, A or A..B")
-        p.add_argument("--t", type=_parse_range, required=need_t,
-                       help="intersection threshold, A or A..B")
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p
+
+    def add_grid(p):
+        for flag, what in (
+            ("--n", "ground-set size"),
+            ("--k", "member cardinality"),
+            ("--t", "intersection threshold"),
+        ):
+            p.add_argument(flag, type=_parse_range, required=True,
+                           help=f"{what}, A or A..B")
+
+    def add_cap(p):
         p.add_argument("--cap", type=int, default=None,
                        help="optional height cap on multiplicities")
+
+    def add_budgets(p):
         p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
                        help="search node budget (exceeding it exits 3)")
         p.add_argument("--budget-vertices", type=int,
                        default=DEFAULT_VERTEX_BUDGET,
                        help="instance size budget (exceeding it exits 3)")
+
+    def add_format(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format where applicable")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for randomized suites (fixed default)")
-        p.add_argument("--in", dest="in_path", default=None,
-                       help="input family file")
-        p.add_argument("--out", dest="out_path", default=None,
+                       help="output format")
+
+    def add_out(p):
+        p.add_argument("--out", default=None,
                        help="output path (default stdout)")
 
-    p_bound = sub.add_parser(
-        "bound", help="star and AK bound table over an (n, k, t) grid;"
+    p_bound = command(
+        "bound", _cmd_bound, "star and AK bound table over an (n, k, t) grid;"
         " CSV columns n,k,t,star,ak_set,i_star (JSON adds per_i and proven)")
-    add_common(p_bound, need_n=True, need_k=True, need_t=True)
+    add_grid(p_bound)
+    add_format(p_bound)
+    add_out(p_bound)
 
-    p_enum = sub.add_parser(
-        "enumerate", help="write every k-multiset of [n] in the family file format")
-    add_common(p_enum, need_n=True, need_k=True)
+    p_enum = command(
+        "enumerate", _cmd_enumerate,
+        "write every k-multiset of [n] in the family file format")
+    p_enum.add_argument("--n", type=int, required=True, help="ground-set size")
+    p_enum.add_argument("--k", type=int, required=True, help="member cardinality")
+    add_cap(p_enum)
+    add_out(p_enum)
 
-    p_comp = sub.add_parser(
-        "compress", help="down-compress a family file until the first row is a kernel")
-    add_common(p_comp, need_t=True)
-    p_comp.add_argument("--trace", dest="trace_path", default=None,
+    p_comp = command(
+        "compress", _cmd_compress,
+        "down-compress a family file until the first row is a kernel")
+    p_comp.add_argument("--t", type=int, required=True,
+                        help="intersection threshold")
+    p_comp.add_argument("--in", dest="in_path", required=True,
+                        help="input family file")
+    add_out(p_comp)
+    p_comp.add_argument("--trace", default=None,
                         help="CSV trace of changing steps: step,i,j,potential,size,kernel")
 
-    p_search = sub.add_parser(
-        "search", help="exact maximum t-intersecting family size (JSON results)")
-    add_common(p_search, need_n=True, need_k=True, need_t=True)
-    p_search.add_argument("--witness", dest="witness_path", default=None,
+    p_search = command(
+        "search", _cmd_search,
+        "exact maximum t-intersecting family size (JSON results)")
+    add_grid(p_search)
+    add_cap(p_search)
+    add_budgets(p_search)
+    add_out(p_search)
+    p_search.add_argument("--witness", default=None,
                           help="write the witness family file (single grid point only)")
 
-    p_verify = sub.add_parser(
-        "verify", help="compare the exact maximum against the proven bound")
-    add_common(p_verify, need_n=True, need_k=True, need_t=True)
+    p_verify = command(
+        "verify", _cmd_verify, "compare the exact maximum against the proven bound")
+    add_grid(p_verify)
+    add_budgets(p_verify)
+    add_format(p_verify)
+    add_out(p_verify)
 
-    p_table = sub.add_parser(
-        "table", help="re-run the acceptance identities; exits 1 on any failure")
-    add_common(p_table)
+    p_table = command(
+        "table", _cmd_table, "run the acceptance battery; exits 1 on any failure")
+    add_budgets(p_table)
+    p_table.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                         help="seed of the random family corpus (fixed default)")
+    add_out(p_table)
     p_table.add_argument("--quick", action="store_true",
-                         help="smaller sharpness grid and corpus")
-    p_table.add_argument("--limit", type=int, default=500,
-                         help="max instance size C(n+k-1,k) for sharpness rows")
-    p_table.add_argument("--corpus-size", type=int, default=200,
-                         help="number of random maximal families in the suites")
+                         help="small sharpness grid without the oracle, corpus"
+                         f" of at most {battery.QUICK_CORPUS_SIZE} families")
+    p_table.add_argument("--corpus-size", type=int, default=battery.CORPUS_SIZE,
+                         help="number of random maximal families in the corpus")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        n_range=getattr(args, "n", None),
-        k_range=getattr(args, "k", None),
-        t_range=getattr(args, "t", None),
-        cap=getattr(args, "cap", None),
-        budget_vertices=getattr(args, "budget_vertices", DEFAULT_VERTEX_BUDGET),
-        budget_nodes=getattr(args, "budget_nodes", DEFAULT_NODE_BUDGET),
-        out_format=getattr(args, "format", "csv"),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        in_path=getattr(args, "in_path", None),
-        out_path=getattr(args, "out_path", None),
-        trace_path=getattr(args, "trace_path", None),
-        witness_path=getattr(args, "witness_path", None),
-        quick=getattr(args, "quick", False),
-        vertex_limit=getattr(args, "limit", 500),
-        corpus_size=getattr(args, "corpus_size", 200),
-    )
-
-
-_COMMANDS = {
-    "bound": _cmd_bound,
-    "enumerate": _cmd_enumerate,
-    "compress": _cmd_compress,
-    "search": _cmd_search,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
-    if config.subcommand == "compress" and not config.in_path:
-        parser.error("compress needs --in FAMILY_FILE")
     try:
-        return _COMMANDS[config.subcommand](config)
+        return args.func(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
-    except (FormatError, OSError) as exc:
+    except CertificationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (MultiEkrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MultiEkrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception:
+        # a fault of the program, not of its input: keep it apart from
+        # exit 1, which reports a failed identity
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

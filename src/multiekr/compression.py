@@ -22,7 +22,12 @@ from typing import Callable, NamedTuple, Optional
 
 from . import kernels
 from .core import Family, Multiset, enumerate_multisets, first_row, is_t_intersecting, is_t_kernel
-from .errors import DimensionError, ParameterError, PreconditionError
+from .errors import (
+    CertificationError,
+    DimensionError,
+    ParameterError,
+    PreconditionError,
+)
 
 # a kernel candidate is just a multiset playing the role of the region T
 KernelCandidate = Multiset
@@ -178,7 +183,10 @@ def psi(family: Family, i: int, j: int) -> Family:
         for a in centered.starts:
             mi = k - a + 1
             new_members.append(_rebuild(family.n, i, j, key.fixed, (mi, s - mi)))
-    assert len(new_members) == len(family)
+    if len(new_members) != len(family):
+        raise CertificationError(
+            f"psi({i}, {j}) produced {len(new_members)} members from {len(family)}"
+        )
     return family.with_members(new_members)
 
 
@@ -322,7 +330,8 @@ def kernel_shift(family: Family, i: int, s: int, j: int) -> Family:
             out.append(candidate if candidate not in family else vec)
         else:
             out.append(vec)
-    assert len(set(out)) == len(out), "kernel_shift produced a collision"
+    if len(set(out)) != len(out):
+        raise CertificationError("kernel_shift produced a collision")
     return family.with_members(out)
 
 
@@ -385,7 +394,8 @@ def shift_c(family: Family, i: int, j: int) -> Family:
             out.append(candidate if candidate not in family else vec)
         else:
             out.append(vec)
-    assert len(set(out)) == len(out), "shift_c produced a collision"
+    if len(set(out)) != len(out):
+        raise CertificationError("shift_c produced a collision")
     return family.with_members(out)
 
 
@@ -409,7 +419,8 @@ def shift_c_prime(family: Family, i: int, j: int) -> Family:
             out.append(candidate if candidate not in family else vec)
         else:
             out.append(vec)
-    assert len(set(out)) == len(out), "shift_c_prime produced a collision"
+    if len(set(out)) != len(out):
+        raise CertificationError("shift_c_prime produced a collision")
     return family.with_members(out)
 
 

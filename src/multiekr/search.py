@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import kernels
 from .bounds import multiset_bound, multiset_bound_proven, ak
@@ -75,10 +75,6 @@ class SearchResult:
         return json.dumps(self.to_dict(include_timing), sort_keys=True)
 
 
-def _non_increasing(vec: Sequence[int]) -> bool:
-    return all(vec[idx] >= vec[idx + 1] for idx in range(len(vec) - 1))
-
-
 def _oracle_max_clique(
     vectors: list[tuple[int, ...]], t: int, node_budget: int
 ) -> tuple[int, list[int], int]:
@@ -129,7 +125,6 @@ def max_t_intersecting(
     budget_nodes: int = DEFAULT_NODE_BUDGET,
     method: str = "pruned",
     use_bound_prune: bool = True,
-    symmetry_reduction: bool = False,
 ) -> SearchResult:
     """Exact maximum size of a t-intersecting family of k-multisets of [n].
 
@@ -160,14 +155,9 @@ def max_t_intersecting(
         stop_at = 0
         if use_bound_prune and multiset_bound_proven(n, k, t):
             stop_at = multiset_bound(n, k, t)
-        if symmetry_reduction:
-            size, indices, nodes = _anchored_search(
-                vectors, k, t, budget_nodes, stop_at
-            )
-        else:
-            size, indices, nodes = kernels.max_t_clique(
-                vectors, k, t, node_budget=budget_nodes, stop_at=stop_at
-            )
+        size, indices, nodes = kernels.max_t_clique(
+            vectors, k, t, node_budget=budget_nodes, stop_at=stop_at
+        )
     elapsed = time.perf_counter() - started
     witness = Family(
         [vectors[idx] for idx in indices], n=n, k=k, height_cap=cap
@@ -186,50 +176,6 @@ def max_t_intersecting(
     if len(witness) != size or not is_t_intersecting(witness, t):
         raise CertificationError("search produced an inconsistent witness")
     return result
-
-
-def _anchored_search(
-    vectors: list[tuple[int, ...]],
-    k: int,
-    t: int,
-    budget_nodes: int,
-    stop_at: int,
-) -> tuple[int, list[int], int]:
-    """Symmetry-reduced search: anchor on column-sorted top members.
-
-    Relabeling columns maps optimum families to optimum families, so some
-    optimum family has a lexicographically largest member whose
-    multiplicities are non-increasing. Every such candidate top member is
-    tried as an anchor over its lower neighborhood.
-    """
-    nv = len(vectors)
-    best_size, best, nodes_total = 0, [], 0
-    for anchor in range(nv):
-        if not _non_increasing(vectors[anchor]):
-            continue
-        lower = [
-            idx
-            for idx in range(anchor)
-            if sum(min(a, b) for a, b in zip(vectors[idx], vectors[anchor])) >= t
-        ]
-        sub_vectors = [vectors[idx] for idx in lower]
-        sub_stop = stop_at - 1 if stop_at > 0 else 0
-        size, indices, nodes = kernels.max_t_clique(
-            sub_vectors,
-            k,
-            t,
-            node_budget=budget_nodes - nodes_total,
-            stop_at=sub_stop,
-            lower_bound=max(0, best_size - 1),
-        )
-        nodes_total += nodes
-        if indices or best_size == 0:
-            if size + 1 > best_size:
-                best_size = size + 1
-                best = sorted(lower[pos] for pos in indices) + [anchor]
-        if stop_at > 0 and best_size >= stop_at:
-            break
-    return best_size, best, nodes_total
 
 
 # --------------------------------------------------------------------------
@@ -401,7 +347,8 @@ def lift_to_sets(family: Family, t: int) -> SetFamily:
     expected = sum(
         len(group) * comb(k - 1, k - s) for s, group in supports.items()
     )
-    assert len(lifted) == expected, "lift produced colliding members"
+    if len(lifted) != expected:
+        raise CertificationError("lift produced colliding members")
     return lifted
 
 

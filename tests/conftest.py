@@ -8,9 +8,3 @@ def small_corpus():
     """A quick seeded corpus of random maximal families for unit tests."""
     return random_family_corpus(30, seed=424, n_max=5, k_max=4)
 
-
-@pytest.fixture(scope="session")
-def acceptance_corpus():
-    """The full seeded corpus shared by the compression, kernel-reduction
-    and lifting acceptance suites."""
-    return random_family_corpus(200, seed=988, n_max=6, k_max=4)

@@ -1,249 +1,98 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see the
-per-criterion lines live). The random-family criteria share one seeded
-corpus of 200 maximal families (n <= 6, k <= 4, n >= 2k - t).
+Every criterion is implemented once, in :mod:`multiekr.battery`; these tests
+assert that its rows pass and pin the facts the paper's claims rest on. Run
+with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see the
+per-criterion lines live). Criteria 5, 7 and 8 share one pass over the
+seeded corpus of 200 random maximal families.
 """
 
-import itertools
 import time
-from math import comb
 
 import pytest
 
-from multiekr import (
-    CompressionStep,
-    Family,
-    IntervalFamily,
-    Multiset,
-    build_ak_set_family,
-    build_kernel_family,
-    count_multisets,
-    down_compress,
-    enumerate_multisets,
-    first_row,
-    intersect,
-    interval_distance,
-    is_t_intersecting,
-    is_t_kernel,
-    l1_distance,
-    lift_to_sets,
-    max_t_intersecting,
-    mp_threshold,
-    multiset_bound,
-    phi_center,
-    potential,
-    rectangle,
-    reduce_kernel,
-    star_bound,
-    support_profile,
-)
-from multiekr.bounds import ak_family_size
-from multiekr.search import ORACLE_VERTEX_LIMIT
-
-_compressed_cache = {}
+from multiekr import battery, star_bound
 
 
-def _report(name, elapsed=None):
-    stamp = f" [{elapsed:.2f}s]" if elapsed is not None else ""
-    print(f"ACCEPTANCE {name}: PASS{stamp}")
+def _passing(criterion, name, limit=None):
+    """Run one criterion, assert every row passes, and return its rows."""
+    started = time.perf_counter()
+    rows = list(criterion)
+    elapsed = time.perf_counter() - started
+    assert [row.csv() for row in rows if not row.ok] == []
+    if limit is not None:
+        assert elapsed < limit
+    print(f"ACCEPTANCE {name}: PASS [{elapsed:.2f}s]")
+    return rows
 
 
-def _compressed(acceptance_corpus):
-    """Down-compress the shared corpus once, keeping the step traces."""
-    if "data" not in _compressed_cache:
-        out = []
-        for n, k, t, fam in acceptance_corpus:
-            steps: list[CompressionStep] = []
-            compressed = down_compress(fam, t, on_step=steps.append)
-            out.append((n, k, t, fam, compressed, steps))
-        _compressed_cache["data"] = out
-    return _compressed_cache["data"]
+def _of(rows, check):
+    return [row for row in rows if row.check == check]
+
+
+@pytest.fixture(scope="module")
+def corpus_rows():
+    return _passing(
+        battery.corpus(),
+        "5/7/8 compression, kernel reduction and lifting on the corpus",
+        limit=60.0,
+    )
 
 
 def test_criterion_1_star_identity_for_plain_intersection():
-    started = time.perf_counter()
-    for k in range(2, 7):
-        for n in range(k + 1, 15):
-            assert multiset_bound(n, k, 1) == comb(n + k - 2, k - 1), (n, k)
-    elapsed = time.perf_counter() - started
-    assert elapsed < 1.0
-    _report("1 star identity at t=1 (k in 2..6, n in k+1..14)", elapsed)
+    _passing(battery.star_identity(), "1 star identity at t=1", limit=1.0)
 
 
 def test_criterion_2_star_threshold_regime():
-    started = time.perf_counter()
-    for k in range(1, 7):
-        for t in range(1, k + 1):
-            for n in range(t * (k - t) + 2, 21):
-                assert multiset_bound(n, k, t) == star_bound(n, k, t), (n, k, t)
-    # below the threshold the star is strictly beaten; this requires a
-    # wider-window family, hence k > t (at k == t only (1,1,1) qualifies
-    # and both bounds are 1 there — pinned in the test below)
-    strict_points = []
-    for k in range(1, 7):
-        for t in range(1, k):
-            for n in range(max(1, 2 * k - t), min(t * (k - t) + 2, 21)):
-                strict_points.append((n, k, t))
-                assert multiset_bound(n, k, t) > star_bound(n, k, t), (n, k, t)
-    assert strict_points == [
-        (7, 5, 3), (9, 6, 3), (10, 6, 3), (8, 6, 4), (9, 6, 4)
+    rows = _passing(battery.threshold(), "2 star-optimality threshold", limit=5.0)
+    assert [row.params for row in _of(rows, "star_beaten_regime")] == [
+        "n=7;k=5;t=3", "n=9;k=6;t=3", "n=10;k=6;t=3", "n=8;k=6;t=4", "n=9;k=6;t=4",
     ]
-    elapsed = time.perf_counter() - started
-    assert elapsed < 5.0
-    _report("2 star-optimality threshold regime (t <= k <= 6, n <= 20)", elapsed)
 
 
 def test_criterion_2_degenerate_corner_is_equality():
-    # the one below-threshold grid point with k == t: no strict gap can
-    # exist because two distinct k-multisets never k-intersect
-    assert multiset_bound(1, 1, 1) == star_bound(1, 1, 1) == 1
-    assert not mp_threshold(1, 1, 1)
-
-
-def _sharpness_grid():
-    instances = [(7, 5, 3)]
-    for k in range(1, 5):
-        for t in range(1, k + 1):
-            n = max(1, 2 * k - t)
-            while count_multisets(n, k) <= 500:
-                instances.append((n, k, t))
-                n += 1
-    return sorted(set(instances))
+    rows = list(battery.threshold())
+    assert _of(rows, "degenerate_corner") == [
+        ("degenerate_corner", "n=1;k=1;t=1", 1, 1)
+    ]
 
 
 def test_criterion_3_exhaustive_sharpness():
-    started = time.perf_counter()
-    grid = _sharpness_grid()
-    oracle_runs = 0
-    for n, k, t in grid:
-        bound = multiset_bound(n, k, t)
-        result = max_t_intersecting(n, k, t)
-        assert result.max_size == bound, (n, k, t, result.max_size, bound)
-        if count_multisets(n, k) <= ORACLE_VERTEX_LIMIT:
-            oracle = max_t_intersecting(n, k, t, method="oracle")
-            assert oracle.max_size == bound, (n, k, t, "oracle")
-            oracle_runs += 1
-    assert max_t_intersecting(7, 5, 3).max_size == 31
-    elapsed = time.perf_counter() - started
-    _report(
-        f"3 exhaustive sharpness ({len(grid)} instances, "
-        f"{oracle_runs} oracle-checked)",
-        elapsed,
-    )
+    rows = _passing(battery.sharpness(), "3 exhaustive sharpness")
+    sharp = _of(rows, "sharpness")
+    assert len(sharp) == 608
+    assert len(_of(rows, "sharpness_oracle")) == 101
+    assert ("sharpness", "n=7;k=5;t=3", 31, 31) in sharp
 
 
 def test_criterion_4_wider_window_beats_star():
-    region = Multiset((1, 1, 1, 1, 1, 0, 0))
-    fam = build_kernel_family(7, 5, region, 4)
-    assert is_t_intersecting(fam, 3)
-    assert len(fam) == 31
-    assert star_bound(7, 5, 3) == 28
-    assert len(fam) > 28
-    _report("4 five-column window family beats the star at (7,5,3)")
+    rows = _passing(battery.kernel_family(), "4 window family beats the star")
+    (size,) = _of(rows, "kernel_family_size")
+    assert size.actual == 31 > 28 == star_bound(7, 5, 3)
 
 
-def test_criterion_5_compression_suite(acceptance_corpus):
-    assert len(acceptance_corpus) >= 200
-    started = time.perf_counter()
-    for n, k, t, fam, compressed, steps in _compressed(acceptance_corpus):
-        assert len(compressed) == len(fam), (n, k, t)
-        assert is_t_kernel(compressed, first_row(n), t), (n, k, t)
-        assert compressed.max_height() <= fam.max_height(), (n, k, t)
-        potentials = [potential(fam)] + [s.potential for s in steps]
-        assert all(a > b for a, b in zip(potentials, potentials[1:])), (n, k, t)
-    elapsed = time.perf_counter() - started
-    assert elapsed < 60.0
-    _report(
-        f"5 compression theorem on {len(acceptance_corpus)} random maximal "
-        "families",
-        elapsed,
-    )
+def test_criterion_5_compression_suite(corpus_rows):
+    assert len(_of(corpus_rows, "compression_suite")) >= 200
 
 
 def test_criterion_6_interval_lemma_exhaustive():
-    started = time.perf_counter()
-    checked = 0
-    for k in range(1, 6):
-        top = 2 * k
-        families = [
-            IntervalFamily(k, p, tuple(range(lo, hi - p + 2)))
-            for lo in range(1, top + 1)
-            for hi in range(lo, top + 1)
-            for p in range(1, hi - lo + 2)
-        ]
-        centered = [phi_center(fam) for fam in families]
-        for a, ca in zip(families, centered):
-            for b, cb in zip(families, centered):
-                assert interval_distance(ca, cb) >= interval_distance(a, b)
-                checked += 1
-    elapsed = time.perf_counter() - started
-    assert elapsed < 10.0
-    _report(f"6 interval centering lemma, exhaustive k <= 5 ({checked} pairs)",
-            elapsed)
+    rows = _passing(battery.interval_lemma(), "6 interval centering lemma", limit=10.0)
+    assert [row.params for row in rows] == [f"k={k}" for k in range(1, 6)]
 
 
-def test_criterion_7_kernel_reduction_suite(acceptance_corpus):
-    started = time.perf_counter()
-    for n, k, t, fam in acceptance_corpus:
-        region = rectangle(n, k)
-        current = fam
-        while max(region.mult) >= 2:
-            current, next_region = reduce_kernel(current, region, t)
-            assert len(current) == len(fam), (n, k, t)
-            assert next_region.k == region.k - 1, (n, k, t)
-            assert is_t_kernel(current, next_region, t), (n, k, t)
-            region = next_region
-        assert region == first_row(n)
-    elapsed = time.perf_counter() - started
-    _report(
-        f"7 kernel reduction from the full rectangle on "
-        f"{len(acceptance_corpus)} families",
-        elapsed,
-    )
+def test_criterion_7_kernel_reduction_suite(corpus_rows):
+    assert len(_of(corpus_rows, "kernel_reduction")) >= 200
 
 
-def test_criterion_8_lifting_identity(acceptance_corpus):
-    started = time.perf_counter()
-    for n, k, t, fam, compressed, _steps in _compressed(acceptance_corpus):
-        lifted = lift_to_sets(compressed, t)
-        profile = support_profile(compressed)
-        assert len(lifted) == sum(
-            count * comb(k - 1, k - s) for s, count in profile.items()
-        ), (n, k, t)
-        assert len(lifted) >= len(compressed), (n, k, t)
-        assert lifted.is_t_intersecting(t), (n, k, t)
-    elapsed = time.perf_counter() - started
-    _report(
-        f"8 lifting identity on the compressed corpus "
-        f"({len(acceptance_corpus)} families)",
-        elapsed,
-    )
+def test_criterion_8_lifting_identity(corpus_rows):
+    assert len(_of(corpus_rows, "lifting_identity")) >= 200
 
 
 def test_criterion_9_algebraic_identities():
-    started = time.perf_counter()
-    # intersection size against the l1 distance, exhaustive n, k <= 4
-    for n in range(1, 5):
-        for k in range(0, 5):
-            members = list(enumerate_multisets(n, k))
-            for f in members:
-                for g in members:
-                    assert len(intersect(f, g)) == k - l1_distance(f, g) // 2
-    # enumeration counts
-    for n in range(1, 7):
-        for k in range(0, 7):
-            assert count_multisets(n, k) == comb(n + k - 1, k)
-            assert len(list(enumerate_multisets(n, k))) == comb(n + k - 1, k)
-    # closed-sum window sizes against plain enumeration
-    for n in range(1, 13):
-        for k in range(1, min(n, 6) + 1):
-            for t in range(0, k + 1):
-                i = 0
-                while t + 2 * i <= n and t + i <= k:
-                    assert ak_family_size(n, k, t, i) == len(
-                        build_ak_set_family(n, k, t, i)
-                    ), (n, k, t, i)
-                    i += 1
-    elapsed = time.perf_counter() - started
-    _report("9 algebraic identities (distance, counts, window sizes)", elapsed)
+    rows = _passing(battery.algebra(), "9 algebraic identities")
+    assert {row.check for row in rows} == {
+        "intersection_distance_identity",
+        "enumeration_count",
+        "enumeration_length",
+        "window_size",
+    }

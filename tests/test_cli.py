@@ -1,9 +1,20 @@
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from multiekr import Family, Multiset
-from multiekr.cli import EXIT_BUDGET, EXIT_IDENTITY, EXIT_OK, EXIT_USAGE, main
+from multiekr import Family, Multiset, cli
+from multiekr.cli import (
+    EXIT_BUDGET,
+    EXIT_IDENTITY,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
+from multiekr.errors import CertificationError
 from multiekr.search import build_star_multiset_family
 
 
@@ -171,7 +182,9 @@ class TestTable:
             "interval_lemma",
             "sharpness",
             "compression_suite",
+            "kernel_reduction",
             "lifting_identity",
+            "window_size",
         } <= checks
 
     def test_deterministic_with_seed(self, capsys):
@@ -196,3 +209,75 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--n", "3"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--n", "4", "--k", "2", "--t", "1", "--cap", "1"),
+            ("bound", "--n", "4", "--k", "2", "--t", "1", "--seed", "3"),
+            ("compress", "--t", "1", "--in", "fam.txt", "--budget-nodes", "5"),
+        ],
+    )
+    def test_option_the_subcommand_does_not_read(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+
+    def test_each_subcommand_declares_only_what_it_reads(self):
+        (commands,) = [
+            action
+            for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        options = {
+            name: {
+                flag
+                for action in sub._actions
+                if action.dest != "help"
+                for flag in action.option_strings
+            }
+            for name, sub in commands.choices.items()
+        }
+        budgets = {"--budget-nodes", "--budget-vertices"}
+        assert options == {
+            "bound": {"--n", "--k", "--t", "--format", "--out"},
+            "enumerate": {"--n", "--k", "--cap", "--out"},
+            "compress": {"--t", "--in", "--out", "--trace"},
+            "search": {"--n", "--k", "--t", "--cap", "--out", "--witness"} | budgets,
+            "verify": {"--n", "--k", "--t", "--format", "--out"} | budgets,
+            "table": {"--seed", "--out", "--quick", "--corpus-size"} | budgets,
+        }
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "fault", [CertificationError("certificate failed"), RuntimeError("boom")]
+    )
+    def test_internal_fault(self, capsys, monkeypatch, fault):
+        def broken(args):
+            raise fault
+
+        monkeypatch.setattr(cli, "_cmd_bound", broken)
+        code, _, err = run(capsys, "bound", "--n", "3", "--k", "2", "--t", "1")
+        assert code == EXIT_INTERNAL and str(fault) in err
+
+
+def _readme_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in section.splitlines()
+        if line.startswith("multiekr ")
+    ]
+
+
+class TestReadme:
+    def test_command_lines_exit_zero(self, capsys, tmp_path, monkeypatch):
+        # the lines run in order: compress reads the file enumerate writes
+        monkeypatch.chdir(tmp_path)
+        commands = _readme_commands()
+        assert len(commands) >= 7
+        for argv in commands:
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_OK, (argv, err)

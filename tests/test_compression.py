@@ -1,5 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +35,7 @@ from multiekr import (
     shift_c_prime,
     slice_decomposition,
 )
+import multiekr
 from multiekr.search import build_star_multiset_family
 
 
@@ -116,6 +122,30 @@ class TestPsi:
         assert [m.mult for m in psi(fam, 1, 2)] == [(2, 1, 0)]
         fam2 = Family([(4, 0)])
         assert [m.mult for m in psi(fam2, 1, 2)] == [(2, 2)]
+
+    def test_certificate_survives_optimize_flag(self):
+        # psi's size certificate must fire even where asserts are stripped:
+        # a centering that loses an interval has to raise, not shrink
+        script = textwrap.dedent("""
+            from multiekr import Family, compression
+            from multiekr.errors import CertificationError
+
+            real = compression.phi_center
+            compression.phi_center = lambda fam: compression.IntervalFamily(
+                fam.k, fam.p, real(fam).starts[1:]
+            )
+            try:
+                compression.psi(Family([(2, 0), (1, 1)]), 1, 2)
+            except CertificationError:
+                raise SystemExit(0)
+            raise SystemExit("psi returned a family of the wrong size")
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(multiekr.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_size_always_preserved(self, small_corpus):
         for n, k, t, fam in small_corpus:
