@@ -1,8 +1,11 @@
 """Pure-Python kernels: pairwise intersection tests and exact clique search.
 
-Multiplicity vectors are packed into Python integers used as bit sets: the
-staircase cell (column c, row r) of a k-multiset occupies bit c*k + r, so the
-intersection size of two multisets is the popcount of the AND of their masks.
+Python integers serve as bit sets in two ways. The pair predicates pack each
+multiplicity vector into a staircase mask: the cell (column c, row r) of a
+k-multiset occupies bit c*k + r, so the intersection size of two multisets
+is the popcount of the AND of their masks. The adjacency build slices the
+other way: one bit set per cell, with a bit per vertex that owns the cell,
+so each vertex finds all its neighbours at once instead of pair by pair.
 The compiled backend in ``_kernels_c`` implements the same operations, with
 identical branching order, so results and node counts match bit for bit.
 """
@@ -10,6 +13,7 @@ identical branching order, so results and node counts match bit for bit.
 from __future__ import annotations
 
 import sys
+from itertools import compress
 from typing import Sequence
 
 from .errors import BudgetError
@@ -75,17 +79,37 @@ def compatible_with_all(
 
 
 def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[int]:
-    """Bit set per vertex of the vertices it t-intersects (self excluded)."""
-    masks = [staircase_mask(v, k) for v in vectors]
-    nv = len(masks)
+    """Bit set per vertex of the vertices it t-intersects (self excluded).
+
+    Bit-sliced: ``level[c*k + r]`` holds the vertices whose multiplicity in
+    column c exceeds r. Vertex i shares its cell (c, r) with exactly the
+    vertices in that level, so a count over i's own cells of "at least s
+    shared cells" gives its neighbours with whole-graph bit operations.
+    """
+    nv = len(vectors)
+    if nv == 0:
+        return []
+    columns = range(len(vectors[0]))
+    level = [0] * (len(columns) * k)
+    for i, vec in enumerate(vectors):
+        bit = 1 << i
+        for c in compress(columns, vec):
+            base = c * k
+            for r in range(base, base + vec[c]):
+                level[r] |= bit
+    everyone = (1 << nv) - 1
     adj = [0] * nv
-    for i in range(nv):
-        mi = masks[i]
-        bit_i = 1 << i
-        for j in range(i + 1, nv):
-            if (mi & masks[j]).bit_count() >= t:
-                adj[i] |= 1 << j
-                adj[j] |= bit_i
+    for i, vec in enumerate(vectors):
+        at_least = [everyone] + [0] * t
+        cells = 0
+        for c in compress(columns, vec):
+            base = c * k
+            for r in range(base, base + vec[c]):
+                cells += 1
+                shared = level[r]
+                for s in range(min(t, cells), 0, -1):
+                    at_least[s] |= at_least[s - 1] & shared
+        adj[i] = at_least[t] & ~(1 << i)
     return adj
 
 

@@ -40,10 +40,10 @@ class Multiset:
     k: int
 
     def __init__(self, mult: Iterable[int]):
-        vec = tuple(int(v) for v in mult)
+        vec = tuple(map(int, mult))
         if not vec:
             raise ParameterError("a multiset needs at least one column")
-        if any(v < 0 for v in vec):
+        if min(vec) < 0:
             raise ParameterError(f"negative multiplicity in {vec!r}")
         object.__setattr__(self, "mult", vec)
         object.__setattr__(self, "k", sum(vec))
@@ -167,24 +167,44 @@ def enumerate_multisets(
     if cap is not None and cap < 1:
         raise ParameterError("cap must be >= 1 when given")
     top = k if cap is None else min(cap, k)
+    if k > top * n:
+        return
+    # the smallest vector packs the mass to the right, at most top per column
     vec = [0] * n
-
-    def rec(pos: int, remaining: int) -> Iterator[Multiset]:
-        if pos == n - 1:
-            if remaining <= top:
-                vec[pos] = remaining
-                yield Multiset(vec)
-                vec[pos] = 0
+    last = -1  # last nonzero column
+    if k:
+        _pack_right(vec, k, top)
+        last = n - 1
+    while True:
+        yield Multiset(vec)
+        # the successor raises the rightmost column below top that has mass
+        # after it, then packs that mass less one to the right again
+        if last <= 0:
             return
-        slots_after = n - pos - 1
-        low = max(0, remaining - top * slots_after)
-        high = min(top, remaining)
-        for v in range(low, high + 1):
-            vec[pos] = v
-            yield from rec(pos + 1, remaining - v)
-        vec[pos] = 0
+        moved = vec[last]
+        i = last - 1
+        while vec[i] == top:
+            moved += top
+            i -= 1
+            if i < 0:
+                return
+        vec[i] += 1
+        vec[i + 1 : last + 1] = [0] * (last - i)
+        if moved > 1:
+            _pack_right(vec, moved - 1, top)
+            last = n - 1
+        else:
+            last = i
 
-    yield from rec(0, k)
+
+def _pack_right(vec: list[int], mass: int, top: int) -> None:
+    """Write ``mass`` into the zero tail of ``vec``: full columns of ``top``
+    at the right end, the remainder in the column before them."""
+    full, rest = divmod(mass, top)
+    n = len(vec)
+    vec[n - full :] = [top] * full
+    if rest:
+        vec[n - full - 1] = rest
 
 
 def count_multisets(n: int, k: int, cap: Optional[int] = None) -> int:

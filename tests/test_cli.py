@@ -69,6 +69,15 @@ class TestEnumerate:
             main(["enumerate", "--n", "3..4", "--k", "2"])
         assert exc.value.code == EXIT_USAGE
 
+    def test_wide_ground_set(self, capsys, tmp_path):
+        # more columns than the default recursion limit
+        out_path = tmp_path / "wide.txt"
+        code, _, err = run(
+            capsys, "enumerate", "--n", "1100", "--k", "1", "--out", str(out_path)
+        )
+        assert code == EXIT_OK, err
+        assert len(out_path.read_text().splitlines()) == 1 + 1100
+
 
 class TestCompress:
     def test_star_is_already_compressed(self, capsys, tmp_path):
@@ -138,6 +147,11 @@ class TestSearch:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second and len(json.loads(first)) == 12
+
+    def test_wide_ground_set(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "1500", "--k", "1", "--t", "1")
+        assert code == EXIT_OK, err
+        assert json.loads(out)[0]["max_size"] == 1
 
 
 class TestVerify:

@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import product
 from math import comb
 
 import pytest
@@ -158,6 +160,30 @@ class TestEnumeration:
     def test_unsatisfiable_is_empty(self):
         assert list(enumerate_multisets(2, 5, 2)) == []
         assert count_multisets(2, 5, 2) == 0
+
+    def test_order_matches_bruteforce(self):
+        for n in range(1, 7):
+            for k in range(0, 6):
+                for cap in (None, 1, 2, 3):
+                    top = k if cap is None else cap
+                    expected = sorted(
+                        v for v in product(range(top + 1), repeat=n) if sum(v) == k
+                    )
+                    got = [m.mult for m in enumerate_multisets(n, k, cap)]
+                    assert got == expected, (n, k, cap)
+
+    @pytest.mark.parametrize("n,k,cap", [(0, 2, None), (3, -1, None), (3, 2, 0)])
+    def test_errors_raised_on_first_next(self, n, k, cap):
+        stream = enumerate_multisets(n, k, cap)
+        with pytest.raises(ParameterError):
+            next(stream)
+
+    def test_streams(self):
+        # C(3001, 2) = 4,501,500 members: the first must not wait for the rest
+        started = time.perf_counter()
+        first = next(enumerate_multisets(3000, 2))
+        assert time.perf_counter() - started < 1.0
+        assert first.mult == (0,) * 2999 + (2,)
 
 
 class TestFamily:

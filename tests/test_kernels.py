@@ -7,6 +7,7 @@ import pytest
 from multiekr import BudgetError, enumerate_multisets
 from multiekr import _kernels_py as pure
 from multiekr import kernels
+from multiekr.bounds import multiset_bound
 
 try:
     from multiekr import _kernels_c as compiled
@@ -82,6 +83,62 @@ class TestBackendAgreement:
             assert pure.max_t_clique(vecs, 3, 1, lower_bound=lb) == (
                 compiled.max_t_clique(vecs, 3, 1, lower_bound=lb)
             )
+
+
+def _shared(a, b):
+    """|A cap B| from the definition: the sum of coordinatewise minima."""
+    return sum(map(min, a, b))
+
+
+def _neighbours(sizes, i, t):
+    """Bit set of the j != i whose intersection with vertex i is >= t."""
+    return sum(1 << j for j, size in enumerate(sizes) if size >= t and j != i)
+
+
+class TestAdjacency:
+    def test_matches_pairwise_definition(self):
+        for n in range(1, 8):
+            for k in range(1, 6):
+                for cap in (None, 1, 2):
+                    vecs = [m.mult for m in enumerate_multisets(n, k, cap)]
+                    sizes = [[_shared(a, b) for b in vecs] for a in vecs]
+                    for t in range(1, k + 1):
+                        expected = [_neighbours(row, i, t) for i, row in enumerate(sizes)]
+                        assert pure.adjacency_bitsets(vecs, k, t) == expected, (
+                            n, k, cap, t,
+                        )
+
+    def test_matches_pairwise_definition_at_9_6_3(self):
+        # 3003 vertices: a seeded sample of rows keeps the definition cheap
+        vecs = [m.mult for m in enumerate_multisets(9, 6)]
+        adj = pure.adjacency_bitsets(vecs, 6, 3)
+        assert len(adj) == 3003
+        for i in random.Random(963).sample(range(len(vecs)), 60):
+            sizes = [_shared(vecs[i], other) for other in vecs]
+            assert adj[i] == _neighbours(sizes, i, 3), vecs[i]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.__name__)
+class TestNodeCounts:
+    """Pinned branching: a faster graph build must not change the search."""
+
+    @pytest.mark.parametrize(
+        "n,k,t,size,nodes", [(7, 5, 3, 31, 79), (8, 6, 4, 43, 218), (10, 5, 3, 55, 55)]
+    )
+    def test_search_to_bound(self, backend, n, k, t, size, nodes):
+        vecs = [m.mult for m in enumerate_multisets(n, k)]
+        got, witness, explored = backend.max_t_clique(
+            vecs, k, t, stop_at=multiset_bound(n, k, t)
+        )
+        assert (got, len(witness), explored) == (size, size, nodes)
+
+    @pytest.mark.parametrize(
+        "n,k,t,nodes", [(7, 5, 3, 518), (8, 5, 3, 2403), (8, 6, 4, 1994)]
+    )
+    def test_refutation_at_bound(self, backend, n, k, t, nodes):
+        vecs = [m.mult for m in enumerate_multisets(n, k)]
+        bound = multiset_bound(n, k, t)
+        assert backend.max_t_clique(vecs, k, t, lower_bound=bound) == (bound, [], nodes)
 
 
 class TestDispatch:
