@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the compiled branch and bound against the pure-Python one.
 
-Times the three hot paths — adjacency + exact clique search, all-pairs
-intersection tests, and kernel-region checks — on identical inputs through
-both backends and prints a speedup table. The compiled backend must agree
-with the pure one bit for bit (sizes, witnesses, node counts); this script
-asserts that while it measures.
+Times the exact clique search (adjacency build plus branch and bound, as
+``kernels.max_t_clique`` runs it) on identical inputs through both
+backends and prints a speedup table. The adjacency build and the pair
+checks have a single pure-Python implementation, so only the search has
+two. The compiled search must agree with the pure one bit for bit (sizes,
+witnesses, node counts); this script asserts that while it measures.
 
 Usage: python benchmarks/compare_backends.py [--repeat N]
 """
@@ -13,12 +14,11 @@ Usage: python benchmarks/compare_backends.py [--repeat N]
 import argparse
 import time
 
-from multiekr import Multiset, enumerate_multisets
 from multiekr import _kernels_py as pure
-from multiekr.search import build_star_multiset_family
+from multiekr import enumerate_multisets
 
 try:
-    from multiekr import _kernels_c as compiled
+    from multiekr import _clique_c as compiled
 except ImportError:
     compiled = None
 
@@ -30,19 +30,6 @@ CLIQUE_CASES = [
     (8, 4, 1, 0),
     (12, 3, 1, 0),
 ]
-
-# stars are t-intersecting, so the all-pairs scans run to completion
-PAIR_CASES = [
-    (7, 5, 1),
-    (9, 4, 1),
-    (14, 3, 1),
-]
-
-
-def _star_vectors(n, k, t):
-    center = Multiset((1,) * t + (0,) * (n - t))
-    star = build_star_multiset_family(n, k, t, center)
-    return [m.mult for m in star]
 
 
 def _time(fn, repeat):
@@ -72,52 +59,21 @@ def main():
     args = parser.parse_args()
 
     if compiled is None:
-        print("compiled kernels are not built; timing the pure backend only\n")
+        print("the compiled search is not built; timing the pure backend only\n")
     print(f"{'case':<44} {'pure':>13} {'compiled':>12} {'speedup':>8}")
 
     for n, k, t, stop in CLIQUE_CASES:
         vecs = [m.mult for m in enumerate_multisets(n, k)]
         label = f"max clique n={n} k={k} t={t} ({len(vecs)} vertices)"
-        p_time, p_val = _time(
-            lambda: pure.max_t_clique(vecs, k, t, 10**8, stop), args.repeat
-        )
-        c_time = None
-        if compiled is not None:
-            c_time, c_val = _time(
-                lambda: compiled.max_t_clique(vecs, k, t, 10**8, stop),
-                args.repeat,
-            )
-            assert p_val == c_val, f"backend mismatch on {label}"
-        _row(label, p_time, c_time)
 
-    for n, k, t in PAIR_CASES:
-        vecs = _star_vectors(n, k, t)
-        label = f"all-pairs t-check n={n} k={k} ({len(vecs)} members)"
-        p_time, p_val = _time(
-            lambda: pure.all_pairs_at_least(vecs, k, t), args.repeat
-        )
-        c_time = None
-        if compiled is not None:
-            c_time, c_val = _time(
-                lambda: compiled.all_pairs_at_least(vecs, k, t), args.repeat
-            )
-            assert p_val == c_val, f"backend mismatch on {label}"
-        _row(label, p_time, c_time)
+        def search(backend):
+            adj = pure.adjacency_bitsets(vecs, k, t)
+            return backend.branch_and_bound(adj, 10**8, stop, 0)
 
-    for n, k, t in PAIR_CASES:
-        vecs = _star_vectors(n, k, t)
-        region = tuple([1] * n)
-        label = f"kernel-region check n={n} k={k} ({len(vecs)} members)"
-        p_time, p_val = _time(
-            lambda: pure.all_pairs_at_least_in_region(vecs, k, region, t),
-            args.repeat,
-        )
+        p_time, p_val = _time(lambda: search(pure), args.repeat)
         c_time = None
         if compiled is not None:
-            c_time, c_val = _time(
-                lambda: compiled.all_pairs_at_least_in_region(vecs, k, region, t),
-                args.repeat,
-            )
+            c_time, c_val = _time(lambda: search(compiled), args.repeat)
             assert p_val == c_val, f"backend mismatch on {label}"
         _row(label, p_time, c_time)
 

@@ -1,12 +1,10 @@
-"""Build script: compiles the optional Cython kernel extension.
+"""Build script: compiles the optional C branch and bound.
 
-The package is fully functional without the extension (a pure-Python
-fallback is selected at import time), so any failure to build it — no
-Cython, no C compiler — downgrades to a warning instead of breaking the
-install. Set MULTIEKR_NO_EXT=1 to skip the extension on purpose.
+The package is fully functional without the extension (the pure-Python
+search is selected at import time), so a failure to build it — no C
+compiler — downgrades to a warning instead of breaking the install.
 """
 
-import os
 import sys
 
 from setuptools import Extension, setup
@@ -29,36 +27,13 @@ class optional_build_ext(build_ext):
     @staticmethod
     def _warn(exc):
         print(
-            f"WARNING: building the compiled kernels failed ({exc}); "
-            "installing with the pure-Python fallback only.",
+            f"WARNING: building the compiled branch and bound failed ({exc}); "
+            "installing with the pure-Python search only.",
             file=sys.stderr,
         )
-
-
-def extensions():
-    if os.environ.get("MULTIEKR_NO_EXT") == "1":
-        return []
-    pyx = os.path.join("src", "multiekr", "_kernels_c.pyx")
-    c = os.path.join("src", "multiekr", "_kernels_c.c")
-    try:
-        from Cython.Build import cythonize
-
-        return cythonize(
-            [Extension("multiekr._kernels_c", [pyx])],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        if os.path.exists(c):
-            return [Extension("multiekr._kernels_c", [c])]
-        print(
-            "WARNING: Cython is unavailable and no pregenerated C source "
-            "exists; skipping the compiled kernels.",
-            file=sys.stderr,
-        )
-        return []
 
 
 setup(
-    ext_modules=extensions(),
+    ext_modules=[Extension("multiekr._clique_c", ["src/multiekr/_clique_c.c"])],
     cmdclass={"build_ext": optional_build_ext},
 )

@@ -12,8 +12,9 @@ Library surface:
   constructions, the lifting to set families, theorem verification;
 * :mod:`multiekr.cli` — the ``multiekr`` command-line frontend.
 
-The hot kernels run through :mod:`multiekr.kernels`, which picks the
-compiled extension when available and falls back to pure Python.
+The hot kernels run through :mod:`multiekr.kernels`, whose clique search
+uses the compiled branch and bound when it is built and the pure-Python
+one otherwise.
 """
 
 from .bounds import (

@@ -1,0 +1,296 @@
+/* Compiled branch and bound for the maximum clique of a t-intersection graph.
+
+   Mirrors ``_kernels_py.branch_and_bound`` step for step: the same greedy
+   colouring order, the same colour-bound prune, the same node budget,
+   ``stop_at`` and ``lower_bound`` semantics. So sizes, witnesses and node
+   counts are identical between the two.
+
+   The graph arrives as the list of Python-int bit sets that
+   ``_kernels_py.adjacency_bitsets`` builds, and is copied once into rows of
+   64-bit words. Each depth of the search owns one candidate set and one
+   colour order, allocated the first time the search reaches that depth.
+
+   Build: ``pip install -e .`` (setup.py), or by hand
+   ``cc -O2 -shared -fPIC -I<python include dir> _clique_c.c -o _clique_c<EXT_SUFFIX>``.
+*/
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
+#include <limits.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef uint64_t u64;
+
+#define BIT(v) ((u64)1 << ((v) & 63))
+
+static PyObject *BudgetError;  /* multiekr.errors.BudgetError */
+
+typedef struct {
+    u64 *cand;      /* candidate set at this depth */
+    int *order;     /* its vertices by ascending colour */
+    int *color_of;  /* the colour of order[i] */
+} Frame;
+
+typedef struct {
+    Py_ssize_t nv, words;
+    u64 *adj;        /* nv rows of `words` words */
+    u64 *uncolored;  /* colouring scratch, used before any recursion */
+    u64 *avail;
+    Frame *frames;   /* nv + 1 depths, allocated on first use */
+    int *cur;        /* the current clique; its length is the depth */
+    int *best;
+    Py_ssize_t best_size, best_len, stop_at;
+    long long nodes, budget;
+} Search;
+
+static int
+reach(Search *s, Py_ssize_t depth)
+{
+    Frame *f = &s->frames[depth];
+    if (f->cand != NULL)
+        return 0;
+    f->cand = malloc(s->words * sizeof(u64) + 1);
+    f->order = malloc(s->nv * sizeof(int) + 1);
+    f->color_of = malloc(s->nv * sizeof(int) + 1);
+    if (f->cand == NULL || f->order == NULL || f->color_of == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+static void
+record(Search *s, Py_ssize_t size)
+{
+    s->best_size = s->best_len = size;
+    memcpy(s->best, s->cur, size * sizeof(int));
+}
+
+static int
+expand(Search *s, Py_ssize_t depth)
+{
+    const Py_ssize_t words = s->words;
+    Frame *f = &s->frames[depth];
+    u64 *cand = f->cand, *uncolored = s->uncolored, *avail = s->avail, *sub;
+    Py_ssize_t count = 0, idx, first, w, pos;
+    int color, v;
+
+    if (++s->nodes > s->budget) {
+        PyErr_Format(BudgetError, "clique search exceeded node budget %lld",
+                     s->budget);
+        return -1;
+    }
+    /* a long search stays interruptible, as the pure one is */
+    if ((s->nodes & 0xFFFF) == 0 && PyErr_CheckSignals() < 0)
+        return -1;
+    if (s->stop_at > 0 && s->best_size >= s->stop_at)
+        return 0;
+    for (w = 0; w < words; w++)
+        count += __builtin_popcountll(cand[w]);
+    if (count == 0) {
+        if (depth > s->best_size)
+            record(s, depth);
+        return 0;
+    }
+
+    /* greedy colouring: each colour class takes the lowest uncoloured
+       vertex, then the lowest one adjacent to none taken so far */
+    memcpy(uncolored, cand, words * sizeof(u64));
+    idx = 0;
+    first = 0;
+    color = 0;
+    while (idx < count) {
+        color++;
+        while (uncolored[first] == 0)
+            first++;
+        memcpy(avail + first, uncolored + first, (words - first) * sizeof(u64));
+        w = first;
+        for (;;) {
+            while (w < words && avail[w] == 0)
+                w++;
+            if (w == words)
+                break;
+            v = (int)(w * 64 + __builtin_ctzll(avail[w]));
+            f->order[idx] = v;
+            f->color_of[idx] = color;
+            idx++;
+            uncolored[w] &= ~BIT(v);
+            const u64 *row = s->adj + v * words;
+            for (Py_ssize_t x = w; x < words; x++)
+                avail[x] &= ~row[x];
+            avail[w] &= ~BIT(v);
+        }
+    }
+
+    if (reach(s, depth + 1) < 0)
+        return -1;
+    sub = s->frames[depth + 1].cand;
+    for (pos = count - 1; pos >= 0; pos--) {
+        if (depth + f->color_of[pos] <= s->best_size)
+            return 0;
+        v = f->order[pos];
+        cand[v >> 6] &= ~BIT(v);
+        const u64 *row = s->adj + v * words;
+        u64 any = 0;
+        for (w = 0; w < words; w++) {
+            sub[w] = cand[w] & row[w];
+            any |= sub[w];
+        }
+        s->cur[depth] = v;
+        if (any) {
+            if (expand(s, depth + 1) < 0)
+                return -1;
+        }
+        else if (depth + 1 > s->best_size) {
+            record(s, depth + 1);
+        }
+        if (s->stop_at > 0 && s->best_size >= s->stop_at)
+            return 0;
+    }
+    return 0;
+}
+
+/* Copy the Python-int bit sets into s->adj; -1 with an exception set. */
+static int
+load_adjacency(Search *s, PyObject *seq)
+{
+    Py_ssize_t nbytes = s->words * 8;
+    for (Py_ssize_t i = 0; i < s->nv; i++) {
+        PyObject *row = PySequence_Fast_GET_ITEM(seq, i);
+        if (!PyLong_Check(row)) {
+            PyErr_Format(PyExc_TypeError, "adj[%zd] is not an int", i);
+            return -1;
+        }
+        PyObject *bytes = PyObject_CallMethod((PyObject *)&PyLong_Type, "to_bytes",
+                                              "Ons", row, nbytes, "little");
+        if (bytes == NULL)
+            return -1;
+        memcpy(s->adj + i * s->words, PyBytes_AS_STRING(bytes), nbytes);
+        Py_DECREF(bytes);
+    }
+    return 0;
+}
+
+static void
+release(Search *s)
+{
+    if (s->frames != NULL) {
+        for (Py_ssize_t d = 0; d <= s->nv; d++) {
+            free(s->frames[d].cand);
+            free(s->frames[d].order);
+            free(s->frames[d].color_of);
+        }
+    }
+    free(s->frames);
+    free(s->adj);
+    free(s->uncolored);
+    free(s->avail);
+    free(s->cur);
+    free(s->best);
+}
+
+PyDoc_STRVAR(branch_and_bound_doc,
+"branch_and_bound(adj, node_budget, stop_at, lower_bound)\n"
+"--\n\n"
+"Exact maximum clique of the graph whose vertex i has neighbour bit set adj[i].\n\n"
+"Same contract as multiekr._kernels_py.branch_and_bound: returns\n"
+"(best_size, sorted_witness, nodes); raises BudgetError when more than\n"
+"node_budget nodes would be expanded; stop_at > 0 halts once the incumbent\n"
+"reaches it; lower_bound seeds the incumbent size without a witness.");
+
+static PyObject *
+branch_and_bound(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"adj", "node_budget", "stop_at", "lower_bound", NULL};
+    PyObject *adj, *seq, *result = NULL;
+    long long budget;
+    Py_ssize_t stop_at, lower_bound;
+    Search s;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OLnn", kwlist, &adj,
+                                     &budget, &stop_at, &lower_bound))
+        return NULL;
+    seq = PySequence_Fast(adj, "adj must be a sequence of int bit sets");
+    if (seq == NULL)
+        return NULL;
+    memset(&s, 0, sizeof s);
+    s.nv = PySequence_Fast_GET_SIZE(seq);
+    if (s.nv > INT_MAX / 2) {
+        PyErr_SetString(PyExc_OverflowError, "too many vertices");
+        goto done;
+    }
+    s.words = (s.nv + 63) / 64;
+    s.budget = budget;
+    s.stop_at = stop_at;
+    s.best_size = lower_bound > 0 ? lower_bound : 0;
+    /* +1: malloc(0) may return NULL on an empty graph */
+    s.adj = malloc(s.nv * s.words * sizeof(u64) + 1);
+    s.uncolored = malloc(s.words * sizeof(u64) + 1);
+    s.avail = malloc(s.words * sizeof(u64) + 1);
+    s.cur = malloc(s.nv * sizeof(int) + 1);
+    s.best = malloc(s.nv * sizeof(int) + 1);
+    s.frames = calloc(s.nv + 1, sizeof(Frame));
+    if (!s.adj || !s.uncolored || !s.avail || !s.cur || !s.best || !s.frames) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (load_adjacency(&s, seq) < 0 || reach(&s, 0) < 0)
+        goto done;
+    memset(s.frames[0].cand, 0, s.words * sizeof(u64));
+    for (Py_ssize_t v = 0; v < s.nv; v++)
+        s.frames[0].cand[v >> 6] |= BIT(v);
+    if (expand(&s, 0) < 0)
+        goto done;
+
+    PyObject *witness = PyList_New(s.best_len);
+    if (witness == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < s.best_len; i++) {
+        PyObject *vertex = PyLong_FromLong(s.best[i]);
+        if (vertex == NULL) {
+            Py_DECREF(witness);
+            goto done;
+        }
+        PyList_SET_ITEM(witness, i, vertex);
+    }
+    if (PyList_Sort(witness) < 0) {
+        Py_DECREF(witness);
+        goto done;
+    }
+    result = Py_BuildValue("nNL", s.best_size, witness, s.nodes);
+done:
+    release(&s);
+    Py_DECREF(seq);
+    return result;
+}
+
+static PyMethodDef methods[] = {
+    {"branch_and_bound", (PyCFunction)(void (*)(void))branch_and_bound,
+     METH_VARARGS | METH_KEYWORDS, branch_and_bound_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_clique_c",
+    "Compiled clique branch and bound; see multiekr.kernels.", -1, methods,
+};
+
+PyMODINIT_FUNC
+PyInit__clique_c(void)
+{
+    PyObject *errors;
+
+    if (BudgetError == NULL) {
+        errors = PyImport_ImportModule("multiekr.errors");
+        if (errors == NULL)
+            return NULL;
+        BudgetError = PyObject_GetAttrString(errors, "BudgetError");
+        Py_DECREF(errors);
+        if (BudgetError == NULL)
+            return NULL;
+    }
+    return PyModule_Create(&module);
+}

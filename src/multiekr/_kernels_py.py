@@ -1,4 +1,4 @@
-"""Pure-Python kernels: pairwise intersection tests and exact clique search.
+"""Pure-Python kernels: pairwise intersection tests, adjacency, clique search.
 
 Python integers serve as bit sets in two ways. The pair predicates pack each
 multiplicity vector into a staircase mask: the cell (column c, row r) of a
@@ -6,8 +6,9 @@ k-multiset occupies bit c*k + r, so the intersection size of two multisets
 is the popcount of the AND of their masks. The adjacency build slices the
 other way: one bit set per cell, with a bit per vertex that owns the cell,
 so each vertex finds all its neighbours at once instead of pair by pair.
-The compiled backend in ``_kernels_c`` implements the same operations, with
-identical branching order, so results and node counts match bit for bit.
+These are the only implementations of the pair checks and the adjacency.
+The branch and bound also exists in C (``_clique_c.c``), with identical
+branching order, so results and node counts match bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from itertools import compress
 from typing import Sequence
 
 from .errors import BudgetError
-
-DEFAULT_NODE_BUDGET = 20_000_000
 
 
 def intersection_size(a: Sequence[int], b: Sequence[int]) -> int:
@@ -113,29 +112,21 @@ def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[in
     return adj
 
 
-def max_t_clique(
-    vectors: list[tuple[int, ...]],
-    k: int,
-    t: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    stop_at: int = 0,
-    lower_bound: int = 0,
+def branch_and_bound(
+    adj: list[int], node_budget: int, stop_at: int, lower_bound: int
 ) -> tuple[int, list[int], int]:
-    """Exact maximum clique in the t-intersection graph of the vectors.
+    """Exact maximum clique of the graph whose vertex i has neighbour set adj[i].
 
-    Branch and bound over the canonical vertex order with a greedy-coloring
-    bound. ``stop_at`` > 0 halts as soon as the incumbent reaches that size
-    (used with a proven upper bound, so the result stays exact).
-    ``lower_bound`` seeds the incumbent size without a witness; if nothing
-    larger is found the returned witness list is empty.
+    Branch and bound over the vertex order with a greedy-coloring bound.
+    ``stop_at`` > 0 halts as soon as the incumbent reaches that size (used
+    with a proven upper bound, so the result stays exact). ``lower_bound``
+    seeds the incumbent size without a witness; if nothing larger is found
+    the returned witness list is empty.
 
-    Returns (best_size, witness_indices, nodes). Raises BudgetError when
+    Returns (best_size, sorted_witness, nodes). Raises BudgetError when
     more than ``node_budget`` tree nodes would be expanded.
     """
-    nv = len(vectors)
-    if nv == 0:
-        return 0, [], 0
-    adj = adjacency_bitsets(vectors, k, t)
+    nv = len(adj)
     state = [max(0, lower_bound), [], 0]  # best_size, best, nodes
 
     def expand(cur: list[int], cand: int) -> None:

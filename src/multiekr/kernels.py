@@ -1,11 +1,12 @@
-"""Kernel backend selection.
+"""The hot kernels, and the choice of clique search backend.
 
-The hot loops (pairwise intersection tests, adjacency construction, exact
-clique search) exist twice: a Cython extension (``multiekr._kernels_c``)
-and a pure-Python fallback (``multiekr._kernels_py``). The compiled module
-is preferred when importable; set ``MULTIEKR_PURE=1`` to force the fallback.
-Both backends implement the same algorithms with the same branching order,
-so sizes, witnesses and node counts are identical either way.
+The pair predicates, ``intersection_size`` and the adjacency build have one
+implementation each, in pure Python (``multiekr._kernels_py``). Only the
+branch and bound exists twice: a hand-written C extension
+(``multiekr._clique_c``) and the pure-Python original. The compiled search
+is preferred when importable; set ``MULTIEKR_PURE=1`` to force the pure
+one. Both use the same branching order, so sizes, witnesses and node counts
+are identical either way.
 """
 
 from __future__ import annotations
@@ -13,26 +14,50 @@ from __future__ import annotations
 import os
 
 from . import _kernels_py
+from ._kernels_py import (  # noqa: F401 (re-exported: the only copies)
+    all_pairs_at_least,
+    all_pairs_at_least_in_region,
+    compatible_with_all,
+    intersection_size,
+)
 
-if os.environ.get("MULTIEKR_PURE") == "1":
-    _impl = _kernels_py
-else:
+DEFAULT_NODE_BUDGET = 20_000_000
+
+branch_and_bound = _kernels_py.branch_and_bound
+if os.environ.get("MULTIEKR_PURE") != "1":
     try:
-        from . import _kernels_c as _impl  # type: ignore[no-redef]
+        from ._clique_c import branch_and_bound  # type: ignore[no-redef]
     except ImportError:
-        _impl = _kernels_py
+        pass
 
-BACKEND: str = "compiled" if _impl is not _kernels_py else "python"
+BACKEND: str = (
+    "python" if branch_and_bound is _kernels_py.branch_and_bound else "compiled"
+)
 
-DEFAULT_NODE_BUDGET = _kernels_py.DEFAULT_NODE_BUDGET
 
-intersection_size = _impl.intersection_size
-all_pairs_at_least = _impl.all_pairs_at_least
-all_pairs_at_least_in_region = _impl.all_pairs_at_least_in_region
-compatible_with_all = _impl.compatible_with_all
-max_t_clique = _impl.max_t_clique
+def max_t_clique(
+    vectors: list[tuple[int, ...]],
+    k: int,
+    t: int,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    stop_at: int = 0,
+    lower_bound: int = 0,
+) -> tuple[int, list[int], int]:
+    """Exact maximum clique in the t-intersection graph of the vectors.
+
+    Builds the adjacency and runs the active backend's branch and bound.
+    ``stop_at`` > 0 halts as soon as the incumbent reaches that size;
+    ``lower_bound`` seeds the incumbent size without a witness.
+
+    Returns (best_size, witness_indices, nodes). Raises BudgetError when
+    more than ``node_budget`` tree nodes would be expanded.
+    """
+    if not vectors:
+        return 0, [], 0
+    adj = _kernels_py.adjacency_bitsets(vectors, k, t)
+    return branch_and_bound(adj, node_budget, stop_at, lower_bound)
 
 
 def backend_name() -> str:
-    """Which kernel backend is active: "compiled" or "python"."""
+    """Which branch and bound is active: "compiled" or "python"."""
     return BACKEND

@@ -124,7 +124,6 @@ def max_t_intersecting(
     budget_vertices: int = DEFAULT_VERTEX_BUDGET,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
     method: str = "pruned",
-    use_bound_prune: bool = True,
 ) -> SearchResult:
     """Exact maximum size of a t-intersecting family of k-multisets of [n].
 
@@ -153,7 +152,7 @@ def max_t_intersecting(
         size, indices, nodes = _oracle_max_clique(vectors, t, budget_nodes)
     else:
         stop_at = 0
-        if use_bound_prune and multiset_bound_proven(n, k, t):
+        if multiset_bound_proven(n, k, t):
             stop_at = multiset_bound(n, k, t)
         size, indices, nodes = kernels.max_t_clique(
             vectors, k, t, node_budget=budget_nodes, stop_at=stop_at

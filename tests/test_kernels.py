@@ -1,4 +1,5 @@
-"""Backend agreement: the compiled kernels must match the pure ones exactly."""
+"""Kernel tests: the adjacency against its definition, and the two branch
+and bounds (pure Python and the C extension) against each other."""
 
 import random
 
@@ -9,12 +10,18 @@ from multiekr import _kernels_py as pure
 from multiekr import kernels
 from multiekr.bounds import multiset_bound
 
-try:
-    from multiekr import _kernels_c as compiled
-except ImportError:
-    compiled = None
+BACKENDS = ["multiekr._kernels_py", "multiekr._clique_c"]
 
-BACKENDS = [pure] if compiled is None else [pure, compiled]
+
+@pytest.fixture
+def backend(request, monkeypatch):
+    """Run kernels.max_t_clique on one backend's branch and bound."""
+    if request.param == "multiekr._kernels_py":
+        search = pure.branch_and_bound
+    else:
+        search = request.getfixturevalue("clique_c").branch_and_bound
+    monkeypatch.setattr(kernels, "branch_and_bound", search)
+    return search
 
 
 def _instances(seed, count):
@@ -31,57 +38,42 @@ def _instances(seed, count):
     return out
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 class TestBackendContracts:
-    def test_intersection_size(self, backend):
-        assert backend.intersection_size((3, 1, 2, 0, 0), (2, 2, 0, 1, 1)) == 3
-        assert backend.intersection_size((0, 0), (0, 0)) == 0
-
     def test_budget_error(self, backend):
         vecs = [m.mult for m in enumerate_multisets(3, 2)]
         with pytest.raises(BudgetError):
-            backend.max_t_clique(vecs, 2, 1, node_budget=2)
+            kernels.max_t_clique(vecs, 2, 1, node_budget=2)
 
     def test_empty_instance(self, backend):
-        assert backend.max_t_clique([], 2, 1) == (0, [], 0)
+        assert kernels.max_t_clique([], 2, 1) == (0, [], 0)
+        assert backend([], 5, 0, 3) == (3, [], 1)
 
     def test_stop_at_still_exact(self, backend):
         vecs = [m.mult for m in enumerate_multisets(3, 2)]
-        full = backend.max_t_clique(vecs, 2, 1)
-        stopped = backend.max_t_clique(vecs, 2, 1, stop_at=full[0])
+        full = kernels.max_t_clique(vecs, 2, 1)
+        stopped = kernels.max_t_clique(vecs, 2, 1, stop_at=full[0])
         assert stopped[0] == full[0]
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernels not built")
 class TestBackendAgreement:
-    def test_clique_results_identical(self):
+    def test_clique_results_identical(self, clique_c):
+        budget = kernels.DEFAULT_NODE_BUDGET
         for n, k, t, vecs, _ in _instances(1234, 50):
-            a = pure.max_t_clique(vecs, k, t)
-            b = compiled.max_t_clique(vecs, k, t)
-            assert a == b, (n, k, t)
+            adj = pure.adjacency_bitsets(vecs, k, t)
+            full = pure.branch_and_bound(adj, budget, 0, 0)
+            for stop_at in (0, full[0]):
+                assert clique_c.branch_and_bound(adj, budget, stop_at, 0) == (
+                    pure.branch_and_bound(adj, budget, stop_at, 0)
+                ), (n, k, t, stop_at)
 
-    def test_pair_predicates_identical(self):
-        rng = random.Random(77)
-        for n, k, t, vecs, _ in _instances(567, 50):
-            sub = [v for v in vecs if rng.random() < 0.5]
-            assert pure.all_pairs_at_least(sub, k, t) == compiled.all_pairs_at_least(
-                sub, k, t
-            )
-            region = tuple(rng.randint(0, k) for _ in range(n))
-            assert pure.all_pairs_at_least_in_region(
-                sub, k, region, t
-            ) == compiled.all_pairs_at_least_in_region(sub, k, region, t)
-            if sub:
-                cand = sub[rng.randrange(len(sub))]
-                assert pure.compatible_with_all(
-                    cand, sub, k, t
-                ) == compiled.compatible_with_all(cand, sub, k, t)
-
-    def test_lower_bound_semantics_identical(self):
+    def test_lower_bound_semantics_identical(self, clique_c):
+        budget = kernels.DEFAULT_NODE_BUDGET
         vecs = [m.mult for m in enumerate_multisets(4, 3)]
+        adj = pure.adjacency_bitsets(vecs, 3, 1)
         for lb in (0, 2, 50):
-            assert pure.max_t_clique(vecs, 3, 1, lower_bound=lb) == (
-                compiled.max_t_clique(vecs, 3, 1, lower_bound=lb)
+            assert pure.branch_and_bound(adj, budget, 0, lb) == (
+                clique_c.branch_and_bound(adj, budget, 0, lb)
             )
 
 
@@ -118,7 +110,7 @@ class TestAdjacency:
             assert adj[i] == _neighbours(sizes, i, 3), vecs[i]
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 class TestNodeCounts:
     """Pinned branching: a faster graph build must not change the search."""
 
@@ -127,7 +119,7 @@ class TestNodeCounts:
     )
     def test_search_to_bound(self, backend, n, k, t, size, nodes):
         vecs = [m.mult for m in enumerate_multisets(n, k)]
-        got, witness, explored = backend.max_t_clique(
+        got, witness, explored = kernels.max_t_clique(
             vecs, k, t, stop_at=multiset_bound(n, k, t)
         )
         assert (got, len(witness), explored) == (size, size, nodes)
@@ -138,10 +130,14 @@ class TestNodeCounts:
     def test_refutation_at_bound(self, backend, n, k, t, nodes):
         vecs = [m.mult for m in enumerate_multisets(n, k)]
         bound = multiset_bound(n, k, t)
-        assert backend.max_t_clique(vecs, k, t, lower_bound=bound) == (bound, [], nodes)
+        assert kernels.max_t_clique(vecs, k, t, lower_bound=bound) == (bound, [], nodes)
 
 
 class TestDispatch:
+    def test_intersection_size(self):
+        assert kernels.intersection_size((3, 1, 2, 0, 0), (2, 2, 0, 1, 1)) == 3
+        assert kernels.intersection_size((0, 0), (0, 0)) == 0
+
     def test_backend_reported(self):
         assert kernels.backend_name() in ("compiled", "python")
 

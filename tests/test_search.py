@@ -27,6 +27,7 @@ from multiekr import (
     support_profile,
     verify_theorem,
 )
+from multiekr import kernels
 
 
 class TestMaxTIntersecting:
@@ -47,19 +48,17 @@ class TestMaxTIntersecting:
         assert is_t_intersecting(res.witness, 2)
 
     def test_engines_agree_small_grid(self):
+        # the search stopping at the proven bound against one that does not
+        # assume it; criterion 3's sharpness_oracle rows add the oracle here
         for k in range(1, 5):
             for t in range(1, k + 1):
                 for n in range(max(1, 2 * k - t), 9 - k + 1):
                     if count_multisets(n, k) > 70:
                         continue
-                    oracle = max_t_intersecting(n, k, t, method="oracle")
                     pruned = max_t_intersecting(n, k, t)
-                    unassisted = max_t_intersecting(
-                        n, k, t, use_bound_prune=False
-                    )
-                    assert (
-                        oracle.max_size == pruned.max_size == unassisted.max_size
-                    ), (n, k, t)
+                    vectors = [m.mult for m in enumerate_multisets(n, k)]
+                    unassisted = kernels.max_t_clique(vectors, k, t)[0]
+                    assert pruned.max_size == unassisted, (n, k, t)
 
     def test_below_proven_range_is_searchable(self):
         # no bound is claimed there, but the exact search still runs;
@@ -78,7 +77,7 @@ class TestMaxTIntersecting:
 
     def test_node_budget(self):
         with pytest.raises(BudgetError):
-            max_t_intersecting(5, 3, 1, budget_nodes=3, use_bound_prune=False)
+            max_t_intersecting(5, 3, 1, budget_nodes=3)
 
     def test_parameter_checks(self):
         with pytest.raises(ParameterError):
