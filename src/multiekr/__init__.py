@@ -32,8 +32,6 @@ from .bounds import (
 from .compression import (
     CompressionStep,
     IntervalFamily,
-    KernelCandidate,
-    SliceKey,
     down_compress,
     interval_distance,
     is_stable,
@@ -46,7 +44,6 @@ from .compression import (
     shift_c,
     shift_c_fixed_point,
     shift_c_prime,
-    slice_decomposition,
 )
 from .core import (
     Family,
@@ -100,14 +97,12 @@ __all__ = [
     "Family",
     "FormatError",
     "IntervalFamily",
-    "KernelCandidate",
     "Multiset",
     "MultiEkrError",
     "ParameterError",
     "PreconditionError",
     "SearchResult",
     "SetFamily",
-    "SliceKey",
     "StaircaseCell",
     "VerifyReport",
     "ak",
@@ -146,7 +141,6 @@ __all__ = [
     "shift_c",
     "shift_c_fixed_point",
     "shift_c_prime",
-    "slice_decomposition",
     "star_bound",
     "subfamily_containing",
     "support_profile",

@@ -6,6 +6,8 @@ Three kinds of operators live here:
   column into a lower one) and its one-unit variant ``shift_c_prime``;
 * the two-column balancing operator ``psi`` built from an interval-system
   centering ``phi_center``, iterated to a fixed point by ``down_compress``;
+  ``psi`` returns its input object unchanged when every slice is already
+  centered;
 * the kernel-reduction operator ``kernel_shift`` / ``reduce_kernel`` that
   peels a staircase t-kernel down to the first row one cell at a time.
 
@@ -18,7 +20,8 @@ by the strictly decreasing integer potential of :func:`potential`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from itertools import combinations
+from typing import Callable, Optional
 
 from . import kernels
 from .core import Family, Multiset, enumerate_multisets, first_row, is_t_intersecting, is_t_kernel
@@ -28,10 +31,6 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-
-# a kernel candidate is just a multiset playing the role of the region T
-KernelCandidate = Multiset
-
 
 # --------------------------------------------------------------------------
 # interval systems on the line {1, ..., 2k}
@@ -110,36 +109,6 @@ def interval_distance(fam1: IntervalFamily, fam2: IntervalFamily) -> int:
 # two-column balancing
 
 
-class SliceKey(NamedTuple):
-    """Identifies one slice of a family: two columns plus the rest fixed.
-
-    ``fixed`` lists the multiplicities of every column except i and j, in
-    column order; ``s`` is the forced value m(i,F) + m(j,F) on the slice.
-    """
-
-    i: int
-    j: int
-    fixed: tuple[int, ...]
-    s: int
-
-
-def slice_decomposition(
-    family: Family, i: int, j: int
-) -> dict[SliceKey, list[tuple[int, int]]]:
-    """Group members by their multiplicities outside columns i and j.
-
-    Returns, per slice, the list of (m(i,F), m(j,F)) pairs in member order.
-    """
-    _check_columns(family.n, i, j)
-    slices: dict[SliceKey, list[tuple[int, int]]] = {}
-    for vec in family.mult_vectors():
-        fixed = tuple(v for idx, v in enumerate(vec) if idx not in (i - 1, j - 1))
-        pair = (vec[i - 1], vec[j - 1])
-        key = SliceKey(i, j, fixed, pair[0] + pair[1])
-        slices.setdefault(key, []).append(pair)
-    return slices
-
-
 def _check_columns(n: int, i: int, j: int) -> None:
     if not (1 <= i <= n and 1 <= j <= n):
         raise ParameterError(f"columns {(i, j)} outside 1..{n}")
@@ -147,47 +116,48 @@ def _check_columns(n: int, i: int, j: int) -> None:
         raise ParameterError("need two distinct columns")
 
 
-def _rebuild(n: int, i: int, j: int, fixed: tuple[int, ...], pair: tuple[int, int]):
-    vec = [0] * n
-    pos = 0
-    for idx in range(n):
-        if idx == i - 1:
-            vec[idx] = pair[0]
-        elif idx == j - 1:
-            vec[idx] = pair[1]
-        else:
-            vec[idx] = fixed[pos]
-            pos += 1
-    return tuple(vec)
-
-
 def psi(family: Family, i: int, j: int) -> Family:
     """Balance columns i and j of every slice of the family.
 
-    Each slice is folded onto the line {1, ..., 2k} (column i top-down onto
-    {1..k}, column j bottom-up onto {k+1..2k}), centered with
-    :func:`phi_center`, and folded back. Member count is preserved slice by
-    slice, and so is t-intersection; ties in balance land on column i.
+    A slice is the set of members that agree outside columns i and j; its
+    members share s = m(i,F) + m(j,F), so each slice is keyed on the member
+    vector with column j folded into column i. Each slice is laid on the
+    line {1, ..., 2k} (column i top-down onto {1..k}, column j bottom-up
+    onto {k+1..2k}), centered with :func:`phi_center`, and folded back.
+    Member count is preserved slice by slice, and so is t-intersection;
+    ties in balance land on column i. When every slice is already centered
+    the input family itself is returned.
     """
     _check_columns(family.n, i, j)
     k = family.k
+    a, b = i - 1, j - 1
+    slices: dict[tuple[int, ...], list[int]] = {}
+    for vec in family.mult_vectors():
+        key = list(vec)
+        key[a] += key[b]
+        key[b] = 0
+        slices.setdefault(tuple(key), []).append(vec[a])
     new_members = []
-    for key, pairs in slice_decomposition(family, i, j).items():
-        s = key.s
+    moved = False
+    for key, column_i in slices.items():
+        s = key[a]
         if s == 0:
             # both columns empty on this slice; nothing to balance
-            new_members.append(_rebuild(family.n, i, j, key.fixed, (0, 0)))
+            new_members.append(key)
             continue
-        starts = tuple(k - mi + 1 for mi, _ in pairs)
-        centered = phi_center(IntervalFamily(k, s, starts))
-        for a in centered.starts:
-            mi = k - a + 1
-            new_members.append(_rebuild(family.n, i, j, key.fixed, (mi, s - mi)))
+        folded = IntervalFamily(k, s, tuple(k - mi + 1 for mi in column_i))
+        centered = phi_center(folded)
+        moved = moved or centered.starts != folded.starts
+        for start in centered.starts:
+            vec = list(key)
+            vec[a] = k - start + 1
+            vec[b] = s - vec[a]
+            new_members.append(tuple(vec))
     if len(new_members) != len(family):
         raise CertificationError(
             f"psi({i}, {j}) produced {len(new_members)} members from {len(family)}"
         )
-    return family.with_members(new_members)
+    return family.with_members(new_members) if moved else family
 
 
 def potential(family: Family) -> int:
@@ -226,7 +196,10 @@ def down_compress(
     t: int,
     on_step: Optional[Callable[[CompressionStep], None]] = None,
 ) -> Family:
-    """Iterate psi over all column pairs i < j until a full sweep is silent.
+    """Iterate psi over the column pairs i < j until a full sweep is silent.
+
+    The pairs are tried in order and the sweep restarts from (1, 2) after
+    every change.
 
     Requires a t-intersecting input with n >= 2k - t (the first-row kernel
     guarantee is not claimed below that, so the operation refuses rather
@@ -248,31 +221,26 @@ def down_compress(
     row = first_row(n)
     current = family
     step = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                candidate = psi(current, i, j)
-                if candidate != current:
-                    current = candidate
-                    step += 1
-                    if on_step is not None:
-                        on_step(
-                            CompressionStep(
-                                step=step,
-                                i=i,
-                                j=j,
-                                potential=potential(current),
-                                size=len(current),
-                                kernel_ok=is_t_kernel(current, row, t),
-                            )
-                        )
-                    changed = True
-                    break
-            if changed:
+    while True:
+        for i, j in combinations(range(1, n + 1), 2):
+            candidate = psi(current, i, j)
+            if candidate is not current:
                 break
-    return current
+        else:
+            return current
+        current = candidate
+        step += 1
+        if on_step is not None:
+            on_step(
+                CompressionStep(
+                    step=step,
+                    i=i,
+                    j=j,
+                    potential=potential(current),
+                    size=len(current),
+                    kernel_ok=is_t_kernel(current, row, t),
+                )
+            )
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ demand and never stored (one source of truth).
 from __future__ import annotations
 
 import re
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import kernels
@@ -40,7 +41,10 @@ class Multiset:
     k: int
 
     def __init__(self, mult: Iterable[int]):
-        vec = tuple(map(int, mult))
+        try:
+            vec = tuple(map(index, mult))
+        except TypeError as exc:
+            raise ParameterError(f"multiplicities must be integers: {exc}") from None
         if not vec:
             raise ParameterError("a multiset needs at least one column")
         if min(vec) < 0:

@@ -4,14 +4,12 @@ The pair predicates, ``intersection_size`` and the adjacency build have one
 implementation each, in pure Python (``multiekr._kernels_py``). Only the
 branch and bound exists twice: a hand-written C extension
 (``multiekr._clique_c``) and the pure-Python original. The compiled search
-is preferred when importable; set ``MULTIEKR_PURE=1`` to force the pure
-one. Both use the same branching order, so sizes, witnesses and node counts
-are identical either way.
+is used when it imports, the pure one otherwise. Both use the same
+branching order, so sizes, witnesses and node counts are identical either
+way.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _kernels_py
 from ._kernels_py import (  # noqa: F401 (re-exported: the only copies)
@@ -23,12 +21,10 @@ from ._kernels_py import (  # noqa: F401 (re-exported: the only copies)
 
 DEFAULT_NODE_BUDGET = 20_000_000
 
-branch_and_bound = _kernels_py.branch_and_bound
-if os.environ.get("MULTIEKR_PURE") != "1":
-    try:
-        from ._clique_c import branch_and_bound  # type: ignore[no-redef]
-    except ImportError:
-        pass
+try:
+    from ._clique_c import branch_and_bound
+except ImportError:
+    branch_and_bound = _kernels_py.branch_and_bound
 
 BACKEND: str = (
     "python" if branch_and_bound is _kernels_py.branch_and_bound else "compiled"

@@ -56,8 +56,8 @@ class SearchResult:
     nodes_explored: int
     elapsed: float
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        data = {
+    def to_dict(self) -> dict:
+        return {
             "n": self.n,
             "k": self.k,
             "t": self.t,
@@ -67,12 +67,9 @@ class SearchResult:
             "nodes_explored": self.nodes_explored,
             "witness": [list(m.mult) for m in self.witness],
         }
-        if include_timing:
-            data["elapsed"] = self.elapsed
-        return data
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _oracle_max_clique(
@@ -388,8 +385,8 @@ class VerifyReport:
             f"bound={self.bound} {tag} stable={stable}"
         )
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        data = {
+    def to_dict(self) -> dict:
+        return {
             "n": self.n,
             "k": self.k,
             "t": self.t,
@@ -400,9 +397,6 @@ class VerifyReport:
             "method": self.method,
             "nodes_explored": self.nodes_explored,
         }
-        if include_timing:
-            data["elapsed"] = self.elapsed
-        return data
 
 
 def verify_theorem(
@@ -412,7 +406,6 @@ def verify_theorem(
     *,
     budget_vertices: int = DEFAULT_VERTEX_BUDGET,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
-    method: str = "pruned",
 ) -> VerifyReport:
     """Compare the exact search maximum against the proven AK bound.
 
@@ -433,7 +426,6 @@ def verify_theorem(
         t,
         budget_vertices=budget_vertices,
         budget_nodes=budget_nodes,
-        method=method,
     )
     bound = multiset_bound(n, k, t)
     compressed = down_compress(result.witness, t)

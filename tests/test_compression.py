@@ -33,10 +33,22 @@ from multiekr import (
     shift_c,
     shift_c_fixed_point,
     shift_c_prime,
-    slice_decomposition,
 )
 import multiekr
 from multiekr.search import build_star_multiset_family
+
+
+def slices(family, i, j):
+    """Group members by their columns outside i and j and by m(i) + m(j).
+
+    Returns, per slice, the (m(i), m(j)) pairs in member order.
+    """
+    groups = {}
+    for vec in family.mult_vectors():
+        rest = tuple(v for c, v in enumerate(vec, 1) if c not in (i, j))
+        s = vec[i - 1] + vec[j - 1]
+        groups.setdefault((rest, s), []).append((vec[i - 1], vec[j - 1]))
+    return groups
 
 
 def all_subintervals(k, p, lo, hi):
@@ -117,6 +129,15 @@ class TestPsi:
         fam = Family([(0, 2), (1, 1), (2, 0)])
         assert psi(fam, 1, 2) == fam
 
+    def test_returns_input_when_nothing_moves(self):
+        centered = Family([(1, 1, 0), (1, 0, 1), (0, 1, 1)])
+        assert psi(centered, 1, 2) is centered
+        # the first slice, of (0, 2, 0), moves; the last, of (1, 0, 1), stays
+        fam = Family([(0, 2, 0), (1, 0, 1)])
+        out = psi(fam, 1, 2)
+        assert out is not fam and out != fam
+        assert [m.mult for m in out] == [(1, 0, 1), (1, 1, 0)]
+
     def test_concentrated_member_balances(self):
         fam = Family([(3, 0, 0)])
         assert [m.mult for m in psi(fam, 1, 2)] == [(2, 1, 0)]
@@ -174,13 +195,8 @@ class TestPsi:
     def test_slice_size_multiset_preserved(self, small_corpus):
         for n, k, t, fam in small_corpus[:10]:
             for i, j in itertools.combinations(range(1, n + 1), 2):
-                before = sorted(
-                    len(v) for v in slice_decomposition(fam, i, j).values()
-                )
-                after = sorted(
-                    len(v)
-                    for v in slice_decomposition(psi(fam, i, j), i, j).values()
-                )
+                before = sorted(len(v) for v in slices(fam, i, j).values())
+                after = sorted(len(v) for v in slices(psi(fam, i, j), i, j).values())
                 assert before == after
 
     def test_balanced_cap_formula(self):
@@ -200,8 +216,7 @@ class TestPsi:
         # the multiset intersection
         for n, k, t, fam in small_corpus[:10]:
             for i, j in itertools.combinations(range(1, n + 1), 2):
-                for key, pairs in slice_decomposition(fam, i, j).items():
-                    s = key.s
+                for (_, s), pairs in slices(fam, i, j).items():
                     for (a1, b1), (a2, b2) in itertools.combinations(pairs, 2):
                         restricted = min(a1, a2) + min(b1, b2)
                         overlap = max(0, s - abs(a1 - a2))
@@ -261,6 +276,28 @@ class TestDownCompress:
             assert all(a > b for a, b in zip(pots, pots[1:]))
             assert is_t_intersecting(out, t)
             assert len(steps) <= potential(fam)
+
+    def test_step_sequence_pinned(self, small_corpus):
+        # (corpus index, i, j, potential) of every step; changing the
+        # sweep order or psi's notion of "moved" would change these
+        steps = []
+        for idx, (n, k, t, fam) in enumerate(small_corpus):
+            down_compress(
+                fam, t, on_step=lambda s: steps.append((idx, s.i, s.j, s.potential))
+            )
+        assert steps == [
+            (0, 1, 2, 142), (0, 3, 4, 141), (1, 1, 3, 2330), (1, 2, 3, 2326),
+            (2, 1, 3, 28), (2, 2, 3, 27), (3, 1, 4, 145), (3, 2, 4, 143),
+            (3, 3, 5, 141), (5, 1, 3, 36), (5, 2, 3, 35), (6, 1, 2, 5),
+            (8, 1, 3, 140), (8, 1, 2, 87), (9, 1, 2, 144), (9, 2, 3, 143),
+            (9, 3, 5, 141), (10, 1, 5, 7083), (10, 1, 2, 5166), (11, 1, 2, 392),
+            (11, 1, 3, 266), (12, 1, 2, 114), (13, 1, 2, 518), (13, 1, 3, 392),
+            (13, 1, 2, 391), (13, 1, 4, 266), (14, 1, 3, 230), (14, 1, 2, 141),
+            (15, 3, 4, 29928), (16, 1, 2, 3), (17, 1, 3, 6), (19, 1, 2, 19),
+            (20, 1, 3, 297), (21, 1, 3, 297), (23, 2, 3, 374), (23, 3, 4, 372),
+            (25, 1, 3, 4), (26, 1, 2, 3), (28, 1, 4, 14445), (28, 1, 2, 10450),
+            (28, 3, 4, 10445), (29, 1, 3, 87),
+        ]
 
     def test_refuses_below_proven_range(self):
         fam = Family([(2, 1)])  # n=2, k=3, t=1 needs n >= 5

@@ -38,6 +38,10 @@ class TestMultiset:
             Multiset(())
         with pytest.raises(ParameterError):
             Multiset((1, -1))
+        with pytest.raises(ParameterError):
+            Multiset((1.7, 0.9))
+        with pytest.raises(ParameterError):
+            Multiset(('2', 1))
 
     def test_immutability_and_hash(self):
         m = Multiset((1, 2))

@@ -144,24 +144,3 @@ class TestDispatch:
     def test_dispatch_matches_selected_module(self):
         vecs = [m.mult for m in enumerate_multisets(3, 2)]
         assert kernels.max_t_clique(vecs, 2, 1)[0] == 3
-
-    def test_pure_env_override(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        import multiekr
-
-        env = dict(os.environ)
-        env["MULTIEKR_PURE"] = "1"
-        pkg_root = os.path.dirname(os.path.dirname(multiekr.__file__))
-        env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
-        code = "import multiekr; print(multiekr.backend_name())"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            cwd=str(tmp_path),
-        )
-        assert out.stdout.strip() == "python"
