@@ -10,6 +10,12 @@
    64-bit words. Each depth of the search owns one candidate set and one
    colour order, allocated the first time the search reaches that depth.
 
+   Orbit pruning, when an ``orbits`` callable is given, also mirrors the
+   pure search: the callable returns one orbit id per vertex, for ``()`` at
+   the root and for ``(v,)`` once per root branch on v. Once the branch on
+   v at depth 0 or 1 is exhausted, every candidate with v's id at that
+   depth is cleared, and the colour order skips cleared vertices.
+
    Build: ``pip install -e .`` (setup.py), or by hand
    ``cc -O2 -shared -fPIC -I<python include dir> _clique_c.c -o _clique_c<EXT_SUFFIX>``.
 */
@@ -44,6 +50,8 @@ typedef struct {
     int *best;
     Py_ssize_t best_size, best_len, stop_at;
     long long nodes, budget;
+    PyObject *orbits;  /* the orbit-id callable, or NULL: no orbit pruning */
+    long *ids[2];      /* orbit id per vertex at depths 0 and 1 */
 } Search;
 
 static int
@@ -60,6 +68,53 @@ reach(Search *s, Py_ssize_t depth)
         return -1;
     }
     return 0;
+}
+
+/* Fill ids with orbits(fixed), one id per vertex; -1 with an exception set.
+   Steals the reference to fixed, which may be NULL after a failed build. */
+static int
+load_orbits(Search *s, PyObject *fixed, long *ids)
+{
+    PyObject *got, *seq;
+    int rc = -1;
+
+    if (fixed == NULL)
+        return -1;
+    got = PyObject_CallOneArg(s->orbits, fixed);
+    Py_DECREF(fixed);
+    if (got == NULL)
+        return -1;
+    seq = PySequence_Fast(got, "orbits() must return a sequence of ints");
+    Py_DECREF(got);
+    if (seq == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(seq) != s->nv) {
+        PyErr_SetString(PyExc_ValueError, "orbits() must return one id per vertex");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < s->nv; i++) {
+        long id = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (id == -1 && PyErr_Occurred())
+            goto done;
+        ids[i] = id;
+    }
+    rc = 0;
+done:
+    Py_DECREF(seq);
+    return rc;
+}
+
+/* Clear from cand every vertex whose orbit id equals v's. */
+static void
+clear_orbit(u64 *cand, Py_ssize_t words, const long *ids, int v)
+{
+    for (Py_ssize_t w = 0; w < words; w++) {
+        for (u64 bits = cand[w]; bits; bits &= bits - 1) {
+            int x = (int)(w * 64 + __builtin_ctzll(bits));
+            if (ids[x] == ids[v])
+                cand[w] &= ~BIT(x);
+        }
+    }
 }
 
 static void
@@ -128,10 +183,13 @@ expand(Search *s, Py_ssize_t depth)
     if (reach(s, depth + 1) < 0)
         return -1;
     sub = s->frames[depth + 1].cand;
+    const long *ids = s->orbits != NULL && depth < 2 ? s->ids[depth] : NULL;
     for (pos = count - 1; pos >= 0; pos--) {
         if (depth + f->color_of[pos] <= s->best_size)
             return 0;
         v = f->order[pos];
+        if (!(cand[v >> 6] & BIT(v)))  /* its orbit left after an earlier branch */
+            continue;
         cand[v >> 6] &= ~BIT(v);
         const u64 *row = s->adj + v * words;
         u64 any = 0;
@@ -141,12 +199,17 @@ expand(Search *s, Py_ssize_t depth)
         }
         s->cur[depth] = v;
         if (any) {
+            if (ids != NULL && depth == 0
+                && load_orbits(s, Py_BuildValue("(i)", v), s->ids[1]) < 0)
+                return -1;
             if (expand(s, depth + 1) < 0)
                 return -1;
         }
         else if (depth + 1 > s->best_size) {
             record(s, depth + 1);
         }
+        if (ids != NULL)
+            clear_orbit(cand, words, ids, v);
         if (s->stop_at > 0 && s->best_size >= s->stop_at)
             return 0;
     }
@@ -190,28 +253,32 @@ release(Search *s)
     free(s->avail);
     free(s->cur);
     free(s->best);
+    free(s->ids[0]);
+    free(s->ids[1]);
 }
 
 PyDoc_STRVAR(branch_and_bound_doc,
-"branch_and_bound(adj, node_budget, stop_at, lower_bound)\n"
+"branch_and_bound(adj, node_budget, stop_at, lower_bound, orbits=None)\n"
 "--\n\n"
 "Exact maximum clique of the graph whose vertex i has neighbour bit set adj[i].\n\n"
 "Same contract as multiekr._kernels_py.branch_and_bound: returns\n"
 "(best_size, sorted_witness, nodes); raises BudgetError when more than\n"
 "node_budget nodes would be expanded; stop_at > 0 halts once the incumbent\n"
-"reaches it; lower_bound seeds the incumbent size without a witness.");
+"reaches it; lower_bound seeds the incumbent size without a witness;\n"
+"orbits, a callable giving orbit ids, prunes orbits at depths 0 and 1.");
 
 static PyObject *
 branch_and_bound(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"adj", "node_budget", "stop_at", "lower_bound", NULL};
-    PyObject *adj, *seq, *result = NULL;
+    static char *kwlist[] = {"adj", "node_budget", "stop_at", "lower_bound",
+                             "orbits", NULL};
+    PyObject *adj, *orbits = Py_None, *seq, *result = NULL;
     long long budget;
     Py_ssize_t stop_at, lower_bound;
     Search s;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OLnn", kwlist, &adj,
-                                     &budget, &stop_at, &lower_bound))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OLnn|O", kwlist, &adj,
+                                     &budget, &stop_at, &lower_bound, &orbits))
         return NULL;
     seq = PySequence_Fast(adj, "adj must be a sequence of int bit sets");
     if (seq == NULL)
@@ -239,6 +306,17 @@ branch_and_bound(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     if (load_adjacency(&s, seq) < 0 || reach(&s, 0) < 0)
         goto done;
+    if (orbits != Py_None) {
+        s.orbits = orbits;
+        s.ids[0] = malloc(s.nv * sizeof(long) + 1);
+        s.ids[1] = malloc(s.nv * sizeof(long) + 1);
+        if (!s.ids[0] || !s.ids[1]) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        if (load_orbits(&s, PyTuple_New(0), s.ids[0]) < 0)
+            goto done;
+    }
     memset(s.frames[0].cand, 0, s.words * sizeof(u64));
     for (Py_ssize_t v = 0; v < s.nv; v++)
         s.frames[0].cand[v >> 6] |= BIT(v);

@@ -8,14 +8,15 @@ other way: one bit set per cell, with a bit per vertex that owns the cell,
 so each vertex finds all its neighbours at once instead of pair by pair.
 These are the only implementations of the pair checks and the adjacency.
 The branch and bound also exists in C (``_clique_c.c``), with identical
-branching order, so results and node counts match bit for bit.
+branching order and the same optional orbit pruning at depths 0 and 1, so
+results and node counts match bit for bit.
 """
 
 from __future__ import annotations
 
 import sys
 from itertools import compress
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import BudgetError
 
@@ -112,8 +113,22 @@ def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[in
     return adj
 
 
+def _orbit_masks(ids: Sequence[int], nv: int) -> list[int]:
+    """Per vertex, the bit set of the vertices that share its orbit id."""
+    if len(ids) != nv:
+        raise ValueError("orbits() must return one id per vertex")
+    masks: dict[int, int] = {}
+    for w, i in enumerate(ids):
+        masks[i] = masks.get(i, 0) | (1 << w)
+    return [masks[i] for i in ids]
+
+
 def branch_and_bound(
-    adj: list[int], node_budget: int, stop_at: int, lower_bound: int
+    adj: list[int],
+    node_budget: int,
+    stop_at: int,
+    lower_bound: int,
+    orbits: Optional[Callable[[tuple[int, ...]], Sequence[int]]] = None,
 ) -> tuple[int, list[int], int]:
     """Exact maximum clique of the graph whose vertex i has neighbour set adj[i].
 
@@ -123,13 +138,23 @@ def branch_and_bound(
     seeds the incumbent size without a witness; if nothing larger is found
     the returned witness list is empty.
 
+    ``orbits``, when given, prunes by symmetry at depths 0 and 1.
+    ``orbits(fixed)`` returns one id per vertex: equal ids for vertices in
+    the same orbit of a group of graph automorphisms that fixes every vertex
+    in the tuple ``fixed``. It is called with ``()`` at the root and with
+    ``(v,)`` once per root branch on v. Once the branch on v at depth 0 or
+    1 is exhausted, v's whole orbit leaves that depth's candidate set, and
+    the colour order skips the vertices that left. The size stays exact;
+    the witness is then one maximum clique, not necessarily the one the
+    plain search returns.
+
     Returns (best_size, sorted_witness, nodes). Raises BudgetError when
     more than ``node_budget`` tree nodes would be expanded.
     """
     nv = len(adj)
     state = [max(0, lower_bound), [], 0]  # best_size, best, nodes
 
-    def expand(cur: list[int], cand: int) -> None:
+    def expand(cur: list[int], cand: int, orbit_of: Optional[list[int]]) -> None:
         state[2] += 1
         if state[2] > node_budget:
             raise BudgetError(
@@ -162,22 +187,31 @@ def branch_and_bound(
             if len(cur) + color_of[idx] <= state[0]:
                 return
             v = order[idx]
-            cand &= ~(1 << v)
+            bit = 1 << v
+            if not cand & bit:  # its orbit left after an earlier branch
+                continue
+            cand ^= bit
             sub = cand & adj[v]
             cur.append(v)
             if sub:
-                expand(cur, sub)
+                below = None
+                if orbit_of is not None and len(cur) == 1:
+                    below = _orbit_masks(orbits(tuple(cur)), nv)
+                expand(cur, sub, below)
             elif len(cur) > state[0]:
                 state[0] = len(cur)
                 state[1] = cur.copy()
             cur.pop()
+            if orbit_of is not None:
+                cand &= ~orbit_of[v]
             if stop_at > 0 and state[0] >= stop_at:
                 return
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 2 * nv + 200))
     try:
-        expand([], (1 << nv) - 1)
+        expand([], (1 << nv) - 1, None if orbits is None else _orbit_masks(orbits(()), nv))
     finally:
         sys.setrecursionlimit(old_limit)
+        del expand  # it refers to itself; without this the graph waits for gc
     return state[0], sorted(state[1]), state[2]

@@ -109,6 +109,7 @@ def _oracle_max_clique(
         visit([], (1 << nv) - 1)
     finally:
         sys.setrecursionlimit(old_limit)
+        del visit  # it refers to itself; without this the graph waits for gc
     return state[0], sorted(state[1]), state[2]
 
 

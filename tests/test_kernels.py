@@ -1,10 +1,16 @@
 """Kernel tests: the adjacency against its definition, and the two branch
 and bounds (pure Python and the C extension) against each other."""
 
+import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multiekr
 from multiekr import BudgetError, enumerate_multisets
 from multiekr import _kernels_py as pure
 from multiekr import kernels
@@ -55,6 +61,24 @@ class TestBackendContracts:
         stopped = kernels.max_t_clique(vecs, 2, 1, stop_at=full[0])
         assert stopped[0] == full[0]
 
+    def test_orbit_ids_one_per_vertex(self, backend):
+        with pytest.raises(ValueError):
+            backend([0, 0], 5, 0, 1, lambda fixed: [0])
+
+    def test_search_leaves_no_garbage(self, backend):
+        # the graph must be freed on return, not when the collector next runs
+        vecs = [m.mult for m in enumerate_multisets(7, 5)]
+        gc.collect()
+        gc.disable()
+        try:
+            kernels.max_t_clique(vecs, 5, 3)
+            kernels.max_t_clique(vecs, 5, 3, lower_bound=31)
+            with pytest.raises(BudgetError):
+                kernels.max_t_clique(vecs, 5, 3, node_budget=3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestBackendAgreement:
     def test_clique_results_identical(self, clique_c):
@@ -66,6 +90,41 @@ class TestBackendAgreement:
                 assert clique_c.branch_and_bound(adj, budget, stop_at, 0) == (
                     pure.branch_and_bound(adj, budget, stop_at, 0)
                 ), (n, k, t, stop_at)
+
+    def test_orbit_refutations_identical(self, clique_c):
+        # every enumeration of at most 130 vertices, refuted at max - 1 and
+        # at max with orbit pruning; max comes from the plain search, which
+        # gives up on two dense set systems (20M and 1.7M nodes)
+        budget = kernels.DEFAULT_NODE_BUDGET
+        refuted, too_hard = 0, []
+        for n in range(1, 10):
+            for k in range(1, 7):
+                for cap in (None, 1, 2):
+                    vecs = [m.mult for m in enumerate_multisets(n, k, cap)]
+                    if not vecs or len(vecs) > 130:
+                        continue
+                    orbits = kernels.column_orbits(vecs)
+                    for t in range(1, k + 1):
+                        adj = pure.adjacency_bitsets(vecs, k, t)
+                        try:
+                            best = clique_c.branch_and_bound(adj, 200_000, 0, 0)[0]
+                        except BudgetError:
+                            too_hard.append((n, k, cap, t))
+                            continue
+                        for lb in (best - 1, best):
+                            if lb <= 0:
+                                continue
+                            got = pure.branch_and_bound(adj, budget, 0, lb, orbits)
+                            assert got == clique_c.branch_and_bound(
+                                adj, budget, 0, lb, orbits
+                            ), (n, k, cap, t, lb)
+                            size, witness, _ = got
+                            assert size == max(best, lb), (n, k, cap, t, lb)
+                            assert len(witness) in (0, size)
+                            assert all(adj[a] >> b & 1 for a in witness for b in witness if a != b)
+                            refuted += 1
+        assert too_hard == [(9, 4, 1, 1), (9, 5, 1, 2)]
+        assert refuted == 538
 
     def test_lower_bound_semantics_identical(self, clique_c):
         budget = kernels.DEFAULT_NODE_BUDGET
@@ -128,9 +187,81 @@ class TestNodeCounts:
         "n,k,t,nodes", [(7, 5, 3, 518), (8, 5, 3, 2403), (8, 6, 4, 1994)]
     )
     def test_refutation_at_bound(self, backend, n, k, t, nodes):
+        # without orbit pruning, as for a list that is not column-closed
+        vecs = [m.mult for m in enumerate_multisets(n, k)]
+        bound = multiset_bound(n, k, t)
+        adj = pure.adjacency_bitsets(vecs, k, t)
+        assert backend(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound) == (bound, [], nodes)
+
+    @pytest.mark.parametrize(
+        "n,k,t,nodes",
+        [(7, 5, 3, 10), (8, 5, 3, 27), (8, 6, 4, 22), (10, 5, 3, 22), (9, 6, 4, 34)],
+    )
+    def test_orbit_refutation_at_bound(self, backend, n, k, t, nodes):
         vecs = [m.mult for m in enumerate_multisets(n, k)]
         bound = multiset_bound(n, k, t)
         assert kernels.max_t_clique(vecs, k, t, lower_bound=bound) == (bound, [], nodes)
+
+
+class TestOrbitPruning:
+    # seven of the ten 3-multisets of [3]: not closed under column permutations
+    UNCLOSED = [(0, 0, 3), (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+    def test_unclosed_list_is_not_pruned(self, backend):
+        size, witness, _ = kernels.max_t_clique(self.UNCLOSED, 3, 2, lower_bound=2)
+        assert size == len(witness) == 3
+        assert kernels.all_pairs_at_least([self.UNCLOSED[i] for i in witness], 3, 2)
+
+    def test_unguarded_shape_pruning_would_be_wrong(self):
+        # why the guard matters: shape orbits on this list lose the answer
+        adj = pure.adjacency_bitsets(self.UNCLOSED, 3, 2)
+        shapes = kernels.column_orbits(self.UNCLOSED)
+        assert pure.branch_and_bound(adj, 1000, 0, 2, shapes)[0] == 2
+
+    def test_closure_check(self):
+        for n in range(1, 6):
+            for k in range(1, 5):
+                for cap in (None, 1, 2):
+                    vecs = [m.mult for m in enumerate_multisets(n, k, cap)]
+                    assert kernels.column_closed(vecs), (n, k, cap)
+        assert not kernels.column_closed(self.UNCLOSED)
+        vecs = [m.mult for m in enumerate_multisets(4, 3)]
+        for i in range(len(vecs)):
+            assert not kernels.column_closed(vecs[:i] + vecs[i + 1:]), vecs[i]
+        assert not kernels.column_closed(vecs + vecs[:1])
+
+    def test_orbit_ids(self):
+        vecs = [m.mult for m in enumerate_multisets(4, 3)]
+        orbits = kernels.column_orbits(vecs)
+        root = orbits(())
+        assert len(set(root)) == 3  # shapes (3), (2,1), (1,1,1)
+        assert all((root[i] == root[j]) == (sorted(a) == sorted(b))
+                   for i, a in enumerate(vecs) for j, b in enumerate(vecs))
+        v = vecs.index((2, 1, 0, 0))  # its stabiliser swaps the last two columns
+        below = orbits((v,))
+        assert below[vecs.index((0, 0, 1, 2))] == below[vecs.index((0, 0, 2, 1))]
+        assert below[vecs.index((1, 2, 0, 0))] != below[vecs.index((2, 1, 0, 0))]
+        assert len(set(below)) == 13  # (20 vectors + 6 fixed by the swap) / 2
+
+    def test_frontier_refutation_compiled(self, clique_c, monkeypatch):
+        # the (9,6,3) upper bound: no 3-intersecting family of 190 members
+        monkeypatch.setattr(kernels, "branch_and_bound", clique_c.branch_and_bound)
+        vecs = [m.mult for m in enumerate_multisets(9, 6)]
+        assert kernels.max_t_clique(vecs, 6, 3, lower_bound=189) == (189, [], 13043)
+
+
+class TestCompareBackendsScript:
+    def test_runs(self):
+        # the only other caller of branch_and_bound: a signature change shows here
+        root = Path(multiekr.__file__).parents[2]
+        env = dict(os.environ, PYTHONPATH=str(Path(multiekr.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "compare_backends.py"), "--repeat", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "max clique n=7 k=5 t=3" in proc.stdout
 
 
 class TestDispatch:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 from math import comb
@@ -34,6 +35,16 @@ class TestMaxTIntersecting:
     def test_tiny_oracle_instance(self):
         res = max_t_intersecting(3, 2, 1, method="oracle")
         assert res.max_size == 3 and res.method == "oracle"
+
+    def test_oracle_leaves_no_garbage(self):
+        # the oracle's graph must be freed on return, not by the collector
+        gc.collect()
+        gc.disable()
+        try:
+            max_t_intersecting(4, 3, 2, method="oracle")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_full_intersection_is_singleton(self):
         assert max_t_intersecting(2, 2, 2).max_size == 1
