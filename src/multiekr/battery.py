@@ -137,7 +137,8 @@ def sharpness(
 ) -> Iterator[Row]:
     """Criterion 3: max |F| = AK(n+k-1, k, t), exhaustively.
 
-    The unpruned oracle re-checks every instance of at most
+    The independent oracle (pivoted Bron–Kerbosch, no size bound and no
+    code shared with the pruned search) re-checks every instance of at most
     ORACLE_VERTEX_LIMIT vertices. ``quick`` keeps only those instances and
     skips the oracle.
     """

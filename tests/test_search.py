@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import random
 from math import comb
 
 import pytest
@@ -28,7 +29,8 @@ from multiekr import (
     support_profile,
     verify_theorem,
 )
-from multiekr import kernels
+from multiekr import battery, kernels
+from multiekr.search import _oracle_max_clique
 
 
 class TestMaxTIntersecting:
@@ -100,6 +102,99 @@ class TestMaxTIntersecting:
         res = max_t_intersecting(3, 2, 1)
         data = json.loads(res.to_json())
         assert data["max_size"] == 3 and "elapsed" not in data
+
+
+
+def _brute_force_max_clique(vectors, t):
+    """Largest t-intersecting sublist, over all 2^N vertex subsets."""
+    nv = len(vectors)
+    adj = [
+        sum(1 << j for j in range(nv) if j != i and sum(map(min, vectors[i], vectors[j])) >= t)
+        for i in range(nv)
+    ]
+    clique = [True] * (1 << nv)  # clique[S]: S is pairwise t-intersecting
+    best = 0
+    for subset in range(1, 1 << nv):
+        low = subset & -subset
+        rest = subset ^ low
+        clique[subset] = clique[rest] and adj[low.bit_length() - 1] & rest == rest
+        if clique[subset]:
+            best = max(best, subset.bit_count())
+    return best
+
+
+def _small_enumerations():
+    """Every enumeration with n <= 4, k <= 3, cap None or 1 and <= 12 vertices."""
+    for n in range(1, 5):
+        for k in range(1, 4):
+            for cap in (None, 1):
+                vectors = [m.mult for m in enumerate_multisets(n, k, cap)]
+                if len(vectors) <= 12:
+                    yield pytest.param(k, vectors, id=f"n{n}-k{k}-cap{cap}")
+
+
+def _unclosed_sublists(seed, count):
+    """Seeded sublists of small enumerations that column permutations move."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, k = rng.randint(2, 5), rng.randint(2, 4)
+        vectors = [m.mult for m in enumerate_multisets(n, k)]
+        sub = sorted(rng.sample(vectors, rng.randint(2, min(12, len(vectors) - 1))))
+        if not kernels.column_closed(sub):
+            out.append(pytest.param(k, sub, id=f"sublist{len(out)}-n{n}-k{k}"))
+    return out
+
+
+class TestOracle:
+    """The oracle against brute force, and orbit pruning against the oracle."""
+
+    @pytest.mark.parametrize(
+        "k,vectors", [*_small_enumerations(), *_unclosed_sublists(7, 40)]
+    )
+    def test_matches_brute_force(self, k, vectors):
+        for t in range(1, k + 1):
+            size, witness, nodes = _oracle_max_clique(vectors, t, 10**6)
+            assert size == _brute_force_max_clique(vectors, t), t
+            assert witness == sorted(set(witness)) and len(witness) == size
+            assert all(
+                sum(map(min, vectors[a], vectors[b])) >= t
+                for a, b in itertools.combinations(witness, 2)
+            ), t
+            with pytest.raises(BudgetError, match="oracle exceeded node budget"):
+                _oracle_max_clique(vectors, t, nodes - 1)
+
+    @pytest.mark.parametrize(
+        "n,k,t,size,nodes",
+        [(6, 3, 1, 21, 3343), (4, 3, 2, 4, 65), (5, 3, 2, 5, 164), (4, 4, 1, 22, 128)],
+    )
+    def test_node_counts(self, n, k, t, size, nodes):
+        # pinned pivoted branching; the budget stops a search that lost it early
+        vectors = [m.mult for m in enumerate_multisets(n, k)]
+        got, witness, explored = _oracle_max_clique(vectors, t, 10 * nodes)
+        assert (got, len(witness), explored) == (size, size, nodes)
+
+    def test_orbit_pruning_agrees_on_sharpness_grid(self):
+        # every criterion-3 point of at most 200 vertices: the oracle finds
+        # the bound, orbit pruning refutes bound + 1 and finds bound
+        points = [
+            p for p in battery._sharpness_grid(200) if count_multisets(*p[:2]) <= 200
+        ]
+        assert len(points) == 259
+        for n, k, t in points:
+            vectors = [m.mult for m in enumerate_multisets(n, k)]
+            bound = multiset_bound(n, k, t)
+            assert _oracle_max_clique(vectors, t, 10**6)[0] == bound, (n, k, t)
+            size, witness, _ = kernels.max_t_clique(vectors, k, t, lower_bound=bound)
+            assert (size, witness) == (bound, []), (n, k, t)
+            if bound > 1:
+                size, witness, _ = kernels.max_t_clique(
+                    vectors, k, t, lower_bound=bound - 1
+                )
+                assert size == len(witness) == bound, (n, k, t)
+                assert kernels.all_pairs_at_least(
+                    [vectors[i] for i in witness], k, t
+                ), (n, k, t)
 
 
 class TestBuildStar:
