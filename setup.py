@@ -1,39 +1,16 @@
 """Build script: compiles the optional C branch and bound.
 
 The package is fully functional without the extension (the pure-Python
-search is selected at import time), so a failure to build it — no C
-compiler — downgrades to a warning instead of breaking the install.
+search is selected at import time). The extension is ``optional``, so
+setuptools turns a failed build (no C compiler, or a compile error) into a
+warning and installs the pure-Python search only. The test suite builds the
+extension through this same recipe.
 """
 
-import sys
-
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
-
-
-class optional_build_ext(build_ext):
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # compiler missing or broken
-            self._warn(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc):
-        print(
-            f"WARNING: building the compiled branch and bound failed ({exc}); "
-            "installing with the pure-Python search only.",
-            file=sys.stderr,
-        )
-
 
 setup(
-    ext_modules=[Extension("multiekr._clique_c", ["src/multiekr/_clique_c.c"])],
-    cmdclass={"build_ext": optional_build_ext},
+    ext_modules=[
+        Extension("multiekr._clique_c", ["src/multiekr/_clique_c.c"], optional=True)
+    ],
 )

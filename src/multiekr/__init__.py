@@ -57,7 +57,6 @@ from .core import (
     is_t_intersecting,
     is_t_kernel,
     l1_distance,
-    max_height,
     rectangle,
     subfamily_containing,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "l1_distance",
     "lift_to_sets",
     "lifted_star_threshold",
-    "max_height",
     "max_t_intersecting",
     "mp_threshold",
     "multiset_bound",

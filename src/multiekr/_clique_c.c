@@ -16,8 +16,10 @@
    v at depth 0 or 1 is exhausted, every candidate with v's id at that
    depth is cleared, and the colour order skips cleared vertices.
 
-   Build: ``pip install -e .`` (setup.py), or by hand
-   ``cc -O2 -shared -fPIC -I<python include dir> _clique_c.c -o _clique_c<EXT_SUFFIX>``.
+   Build: setup.py is the one recipe, an optional extension compiled with
+   the interpreter's compiler and flags. ``pip install`` runs it, the test
+   suite runs ``python setup.py build_ext`` into a temporary directory, and
+   ``python setup.py build_ext --inplace`` builds it next to this file.
 */
 
 #define PY_SSIZE_T_CLEAN

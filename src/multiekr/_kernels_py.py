@@ -18,7 +18,7 @@ import sys
 from itertools import compress
 from typing import Callable, Optional, Sequence
 
-from .errors import BudgetError
+from .errors import BudgetError, ParameterError
 
 
 def intersection_size(a: Sequence[int], b: Sequence[int]) -> int:
@@ -26,11 +26,21 @@ def intersection_size(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x if x < y else y for x, y in zip(a, b))
 
 
+def _too_high(v: int, k: int) -> ParameterError:
+    return ParameterError(f"multiplicity {v} exceeds the staircase height {k}")
+
+
 def staircase_mask(vec: Sequence[int], k: int) -> int:
-    """Pack a multiplicity vector into a staircase bit mask (k bits/column)."""
+    """Pack a multiplicity vector into a staircase bit mask (k bits/column).
+
+    Raises ParameterError when a multiplicity exceeds k, which would spill
+    into the next column's cells.
+    """
     mask = 0
     base = 0
     for v in vec:
+        if v > k:
+            raise _too_high(v, k)
         mask |= ((1 << v) - 1) << base
         base += k
     return mask
@@ -85,6 +95,7 @@ def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[in
     column c exceeds r. Vertex i shares its cell (c, r) with exactly the
     vertices in that level, so a count over i's own cells of "at least s
     shared cells" gives its neighbours with whole-graph bit operations.
+    Raises ParameterError when a multiplicity exceeds k.
     """
     nv = len(vectors)
     if nv == 0:
@@ -94,6 +105,8 @@ def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[in
     for i, vec in enumerate(vectors):
         bit = 1 << i
         for c in compress(columns, vec):
+            if vec[c] > k:
+                raise _too_high(vec[c], k)
             base = c * k
             for r in range(base, base + vec[c]):
                 level[r] |= bit

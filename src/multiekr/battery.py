@@ -38,7 +38,6 @@ from .core import (
 from .search import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_VERTEX_BUDGET,
-    ORACLE_VERTEX_LIMIT,
     build_ak_set_family,
     build_kernel_family,
     lift_to_sets,
@@ -48,6 +47,8 @@ from .search import (
 
 HEADER = "check,params,expected,actual,status"
 SHARPNESS_LIMIT = 500  # largest C(n+k-1, k) in the sharpness grid
+QUICK_SHARPNESS_LIMIT = 70  # the same for the --quick grid
+ORACLE_LIMIT = 70  # largest C(n+k-1, k) the oracle re-checks
 CORPUS_SIZE = 200
 QUICK_CORPUS_SIZE = 40
 
@@ -139,10 +140,10 @@ def sharpness(
 
     The independent oracle (pivoted Bron–Kerbosch, no size bound and no
     code shared with the pruned search) re-checks every instance of at most
-    ORACLE_VERTEX_LIMIT vertices. ``quick`` keeps only those instances and
-    skips the oracle.
+    ORACLE_LIMIT vertices. ``quick`` keeps the instances of at most
+    QUICK_SHARPNESS_LIMIT vertices and skips the oracle.
     """
-    limit = ORACLE_VERTEX_LIMIT if quick else SHARPNESS_LIMIT
+    limit = QUICK_SHARPNESS_LIMIT if quick else SHARPNESS_LIMIT
     for n, k, t in _sharpness_grid(limit):
         params = f"n={n};k={k};t={t}"
         bound = multiset_bound(n, k, t)
@@ -150,7 +151,7 @@ def sharpness(
             n, k, t, budget_vertices=budget_vertices, budget_nodes=budget_nodes
         )
         yield Row("sharpness", params, bound, result.max_size)
-        if not quick and count_multisets(n, k) <= ORACLE_VERTEX_LIMIT:
+        if not quick and count_multisets(n, k) <= ORACLE_LIMIT:
             oracle = max_t_intersecting(
                 n,
                 k,

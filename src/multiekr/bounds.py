@@ -15,7 +15,6 @@ function on the lifted ground set of n+k-1 points, which is what
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -143,9 +142,6 @@ class BoundReport:
             "per_i": [list(pair) for pair in self.per_i],
             "proven": self.proven,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def bound_report(n: int, k: int, t: int) -> BoundReport:

@@ -66,10 +66,6 @@ class IntervalFamily:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def intervals(self) -> list[tuple[int, int]]:
-        """(first, last) endpoints, inclusive, in start order."""
-        return [(s, s + self.p - 1) for s in self.starts]
-
     def is_complete_block(self) -> bool:
         """True when the starts are consecutive integers (class-I family)."""
         return self.starts[-1] - self.starts[0] + 1 == len(self.starts)

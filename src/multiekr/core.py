@@ -347,7 +347,7 @@ class Family:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str, height_cap: Optional[int] = None) -> "Family":
+    def from_text(cls, text: str) -> "Family":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise FormatError("empty family file")
@@ -362,21 +362,16 @@ class Family:
             except ValueError as exc:
                 raise FormatError(f"bad member line: {ln!r}") from exc
             members.append(vec)
-        return cls(members, n=n, k=k, height_cap=height_cap)
+        return cls(members, n=n, k=k)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(self.to_text())
 
     @classmethod
-    def load(cls, path: str, height_cap: Optional[int] = None) -> "Family":
+    def load(cls, path: str) -> "Family":
         with open(path, "r", encoding="ascii") as fh:
-            return cls.from_text(fh.read(), height_cap=height_cap)
-
-
-def max_height(family: Family) -> int:
-    """Module-level alias for :meth:`Family.max_height`."""
-    return family.max_height()
+            return cls.from_text(fh.read())
 
 
 def is_t_intersecting(family: Family, t: int) -> bool:

@@ -11,7 +11,6 @@ intersection itself.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -26,7 +25,6 @@ from .core import (
     count_multisets,
     enumerate_multisets,
     first_row,
-    intersection_size,
     is_t_intersecting,
     is_t_kernel,
 )
@@ -40,7 +38,6 @@ from .errors import (
 
 DEFAULT_VERTEX_BUDGET = 4000
 DEFAULT_NODE_BUDGET = kernels.DEFAULT_NODE_BUDGET
-ORACLE_VERTEX_LIMIT = 70
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,6 @@ class SearchResult:
     witness: Family
     method: str
     nodes_explored: int
-    elapsed: float
 
     def to_dict(self) -> dict:
         return {
@@ -169,7 +165,6 @@ def max_t_intersecting(
             f"{budget_vertices}"
         )
     vectors = [m.mult for m in enumerate_multisets(n, k, cap)]
-    started = time.perf_counter()
 
     if method == "oracle":
         size, indices, nodes = _oracle_max_clique(vectors, t, budget_nodes)
@@ -180,7 +175,6 @@ def max_t_intersecting(
         size, indices, nodes = kernels.max_t_clique(
             vectors, k, t, node_budget=budget_nodes, stop_at=stop_at
         )
-    elapsed = time.perf_counter() - started
     witness = Family(
         [vectors[idx] for idx in indices], n=n, k=k, height_cap=cap
     )
@@ -193,7 +187,6 @@ def max_t_intersecting(
         witness=witness,
         method=method,
         nodes_explored=nodes,
-        elapsed=elapsed,
     )
     if len(witness) != size or not is_t_intersecting(witness, t):
         raise CertificationError("search produced an inconsistent witness")
@@ -207,17 +200,17 @@ def max_t_intersecting(
 def build_star_multiset_family(
     n: int, k: int, t: int, center: Multiset
 ) -> Family:
-    """All k-multisets of [n] that contain the fixed t-multiset ``center``."""
+    """All k-multisets of [n] that contain the fixed t-multiset ``center``.
+
+    The kernel family of the center at level t = |center|.
+    """
     if center.n != n:
         raise DimensionError(f"center has n={center.n}, expected {n}")
     if center.k != t:
         raise ParameterError(f"center has cardinality {center.k}, expected t={t}")
     if not 0 <= t <= k:
         raise ParameterError(f"need 0 <= t <= k, got t={t}, k={k}")
-    members = []
-    for extra in enumerate_multisets(n, k - t):
-        members.append(tuple(a + b for a, b in zip(center.mult, extra.mult)))
-    return Family(members, n=n, k=k)
+    return build_kernel_family(n, k, center, t)
 
 
 def build_kernel_family(n: int, k: int, region: Multiset, r: int) -> Family:
@@ -225,7 +218,8 @@ def build_kernel_family(n: int, k: int, region: Multiset, r: int) -> Family:
 
     Any two members meet inside the region in at least 2r - |region|
     elements, so the family is (2r - |region|)-intersecting by
-    construction.
+    construction. The sum of minima runs over the region's nonzero
+    columns only, since min(0, b) = 0.
     """
     if region.n != n:
         raise DimensionError(f"region has n={region.n}, expected {n}")
@@ -235,11 +229,12 @@ def build_kernel_family(n: int, k: int, region: Multiset, r: int) -> Family:
         raise ParameterError(
             f"region cardinality {region.k} exceeds member cardinality {k}"
         )
-    members = [
-        m.mult
-        for m in enumerate_multisets(n, k)
-        if kernels.intersection_size(m.mult, region.mult) >= r
-    ]
+    support = [(c, a) for c, a in enumerate(region.mult) if a]
+    members = []
+    for m in enumerate_multisets(n, k):
+        vec = m.mult
+        if sum(a if a < vec[c] else vec[c] for c, a in support) >= r:
+            members.append(vec)
     return Family(members, n=n, k=k)
 
 
@@ -271,9 +266,6 @@ class SetFamily:
     def __iter__(self):
         return iter(self.members)
 
-    def member_size(self) -> int:
-        return len(self.members[0]) if self.members else 0
-
     def is_t_intersecting(self, t: int) -> bool:
         sets = [set(m) for m in self.members]
         for i in range(len(sets)):
@@ -304,9 +296,10 @@ def build_optimal_multiset_family(n: int, k: int, t: int) -> Family:
 
     Realized as a support threshold: take every k-multiset whose support
     meets the first t + 2*i_star columns in at least t + i_star places,
-    where i_star is the maximizing index of the bound. The result is
-    certified at runtime — t-intersection is rechecked and the size must
-    equal multiset_bound(n, k, t); a CertificationError means the
+    where i_star is the maximizing index of the bound; that is the kernel
+    family of the 0/1 row over those columns at level t + i_star. The
+    result is certified at runtime — t-intersection is rechecked and the
+    size must equal multiset_bound(n, k, t); a CertificationError means the
     realization is wrong at this instance, never that the bound is.
     """
     if not 1 <= t <= k:
@@ -322,12 +315,8 @@ def build_optimal_multiset_family(n: int, k: int, t: int) -> Family:
         raise PreconditionError(
             f"support window t + 2*i_star = {window} exceeds n = {n}"
         )
-    members = [
-        m.mult
-        for m in enumerate_multisets(n, k)
-        if sum(1 for v in m.mult[:window] if v > 0) >= need
-    ]
-    family = Family(members, n=n, k=k)
+    row = Multiset((1,) * window + (0,) * (n - window))
+    family = build_kernel_family(n, k, row, need)
     if not is_t_intersecting(family, t):
         raise CertificationError(
             f"support-threshold family is not {t}-intersecting at {(n, k, t)}"
@@ -401,7 +390,6 @@ class VerifyReport:
     compressed_stable: bool
     method: str
     nodes_explored: int
-    elapsed: float
 
     def summary(self) -> str:
         tag = "SHARP" if self.sharp else "NOT-SHARP"
@@ -466,5 +454,4 @@ def verify_theorem(
         compressed_stable=is_stable(compressed),
         method=result.method,
         nodes_explored=result.nodes_explored,
-        elapsed=result.elapsed,
     )

@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import shlex
 import shutil
 import subprocess
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-import multiekr
 from multiekr.corpus import random_family_corpus
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
@@ -18,35 +20,26 @@ def small_corpus():
     return random_family_corpus(30, seed=424, n_max=5, k_max=4)
 
 
-def _c_compiler():
-    """The interpreter's configured C compiler, else cc or gcc; None if absent."""
-    for argv in (shlex.split(sysconfig.get_config_var("CC") or ""), ["cc"], ["gcc"]):
-        if argv and shutil.which(argv[0]):
-            return argv
-    return None
-
-
 @pytest.fixture(scope="session")
 def clique_c(tmp_path_factory):
-    """The C branch and bound, compiled from the source tree for this session.
+    """The C branch and bound, built by ``setup.py build_ext`` for this session.
 
-    Skips only when no C compiler is found; a failing build fails the tests.
+    The same recipe and flags as ``pip install``, with the build output kept
+    outside the checkout. Skips only when the compiler that setuptools calls
+    (``$CC``, else the interpreter's configured one) is not on PATH; a build
+    that writes no extension fails the tests with the build output.
     """
-    compiler = _c_compiler()
-    if compiler is None:
-        pytest.skip("no C compiler found")
-    source = Path(multiekr.__file__).with_name("_clique_c.c")
-    target = tmp_path_factory.mktemp("clique_c") / (
-        "_clique_c" + sysconfig.get_config_var("EXT_SUFFIX")
-    )
-    link = ["-undefined", "dynamic_lookup"] if sys.platform == "darwin" else []
+    compiler = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "")
+    if not compiler or shutil.which(compiler[0]) is None:
+        pytest.skip(f"no C compiler: {' '.join(compiler) or 'none configured'}")
+    out = tmp_path_factory.mktemp("clique_c")
     build = subprocess.run(
-        [*compiler, "-O2", "-shared", "-fPIC", *link,
-         "-I", sysconfig.get_paths()["include"], str(source), "-o", str(target)],
-        capture_output=True,
-        text=True,
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
+        cwd=ROOT, capture_output=True, text=True,
     )
-    assert build.returncode == 0, build.stderr
+    target = out / "lib" / "multiekr" / ("_clique_c" + sysconfig.get_config_var("EXT_SUFFIX"))
+    assert target.exists(), build.stdout + build.stderr
     spec = importlib.util.spec_from_file_location("_clique_c", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -18,7 +18,6 @@ from multiekr import (
     is_t_intersecting,
     is_t_kernel,
     l1_distance,
-    max_height,
     rectangle,
     subfamily_containing,
 )
@@ -319,7 +318,7 @@ class TestSubfamilyContaining:
 
 class TestMaxHeight:
     def test_single_member(self):
-        assert max_height(Family([(3, 1, 2, 0, 0)])) == 3
+        assert Family([(3, 1, 2, 0, 0)]).max_height() == 3
 
     def test_capped_family(self):
         fam = Family(list(enumerate_multisets(4, 3, 1)), height_cap=1)

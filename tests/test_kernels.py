@@ -2,16 +2,11 @@
 and bounds (pure Python and the C extension) against each other."""
 
 import gc
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import multiekr
-from multiekr import BudgetError, enumerate_multisets
+from multiekr import BudgetError, ParameterError, enumerate_multisets
 from multiekr import _kernels_py as pure
 from multiekr import kernels
 from multiekr.bounds import multiset_bound
@@ -90,6 +85,16 @@ class TestBackendAgreement:
                 assert clique_c.branch_and_bound(adj, budget, stop_at, 0) == (
                     pure.branch_and_bound(adj, budget, stop_at, 0)
                 ), (n, k, t, stop_at)
+
+    @pytest.mark.parametrize("n,k,t", [(7, 5, 3), (6, 4, 2), (8, 4, 1), (12, 3, 1)])
+    def test_full_searches_identical(self, clique_c, n, k, t):
+        # searches to exhaustion, without a stop bound, on whole enumerations
+        vecs = [m.mult for m in enumerate_multisets(n, k)]
+        adj = pure.adjacency_bitsets(vecs, k, t)
+        budget = kernels.DEFAULT_NODE_BUDGET
+        assert clique_c.branch_and_bound(adj, budget, 0, 0) == (
+            pure.branch_and_bound(adj, budget, 0, 0)
+        )
 
     def test_orbit_refutations_identical(self, clique_c):
         # every enumeration of at most 130 vertices, refuted at max - 1 and
@@ -251,17 +256,27 @@ class TestOrbitPruning:
         assert kernels.max_t_clique(vecs, 6, 3, lower_bound=189) == (189, [], 13043)
 
 
-class TestCompareBackendsScript:
-    def test_runs(self):
-        # the only other caller of branch_and_bound: a signature change shows here
-        root = Path(multiekr.__file__).parents[2]
-        env = dict(os.environ, PYTHONPATH=str(Path(multiekr.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, str(root / "benchmarks" / "compare_backends.py"), "--repeat", "1"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "max clique n=7 k=5 t=3" in proc.stdout
+class TestStaircaseHeight:
+    """A multiplicity above k would spill into the next column's cells."""
+
+    def test_clique_search_rejects(self):
+        # the two share nothing; unchecked, they came back 1-intersecting
+        with pytest.raises(ParameterError):
+            kernels.max_t_clique([(3, 0, 0), (0, 3, 0)], 2, 1)
+        with pytest.raises(ParameterError):
+            kernels.max_t_clique([(3, 0), (0, 3)], 2, 1)
+
+    def test_pair_checks_reject(self):
+        with pytest.raises(ParameterError):
+            kernels.all_pairs_at_least([(3, 0), (0, 3)], 2, 1)
+        with pytest.raises(ParameterError):
+            kernels.compatible_with_all((3, 0), [(0, 3)], 2, 1)
+        with pytest.raises(ParameterError):
+            kernels.all_pairs_at_least_in_region([(3, 0), (0, 3)], 2, (1, 1), 1)
+
+    def test_region_sets_the_height(self):
+        # the region may be taller than k; the masks are as tall as it
+        assert kernels.all_pairs_at_least_in_region([(2, 0), (2, 0)], 2, (3, 0), 2)
 
 
 class TestDispatch:

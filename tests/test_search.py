@@ -30,6 +30,7 @@ from multiekr import (
     verify_theorem,
 )
 from multiekr import battery, kernels
+from multiekr.bounds import ak
 from multiekr.search import _oracle_max_clique
 
 
@@ -197,6 +198,22 @@ class TestOracle:
                 ), (n, k, t)
 
 
+def _containing(n, k, center):
+    """The k-multisets of [n] that contain the center, by definition."""
+    members = [m.mult for m in enumerate_multisets(n, k) if m.contains(center)]
+    return Family(members, n=n, k=k)
+
+
+def _support_threshold(n, k, window, need):
+    """The k-multisets of [n] with >= need support columns among the first window."""
+    members = [
+        m.mult
+        for m in enumerate_multisets(n, k)
+        if sum(1 for v in m.mult[:window] if v) >= need
+    ]
+    return Family(members, n=n, k=k)
+
+
 class TestBuildStar:
     def test_small_example(self):
         star = build_star_multiset_family(3, 2, 1, Multiset((1, 0, 0)))
@@ -216,6 +233,7 @@ class TestBuildStar:
                     star = build_star_multiset_family(n, k, t, center)
                     assert len(star) == star_bound(n, k, t)
                     assert is_t_intersecting(star, t)
+                    assert star == _containing(n, k, center)
 
     def test_size_is_center_independent(self):
         for n in range(1, 5):
@@ -224,6 +242,7 @@ class TestBuildStar:
                     for center in enumerate_multisets(n, t):
                         star = build_star_multiset_family(n, k, t, center)
                         assert len(star) == star_bound(n, k, t)
+                        assert star == _containing(n, k, center)
 
     def test_bad_center(self):
         with pytest.raises(ParameterError):
@@ -283,6 +302,8 @@ class TestBuildOptimal:
             for n in range(2 * k - 1, 2 * k + 4):
                 fam = build_optimal_multiset_family(n, k, 1)
                 assert len(fam) == comb(n + k - 2, k - 1)
+                i_star = ak(n + k - 1, k, 1)[1]
+                assert fam == _support_threshold(n, k, 1 + 2 * i_star, 1 + i_star)
 
     def test_wide_window_case(self):
         fam = build_optimal_multiset_family(7, 5, 3)
@@ -296,6 +317,8 @@ class TestBuildOptimal:
                     fam = build_optimal_multiset_family(n, k, t)
                     assert len(fam) == multiset_bound(n, k, t)
                     assert is_t_intersecting(fam, t)
+                    i_star = ak(n + k - 1, k, t)[1]
+                    assert fam == _support_threshold(n, k, t + 2 * i_star, t + i_star)
 
     def test_refuses_below_range(self):
         with pytest.raises(PreconditionError):
