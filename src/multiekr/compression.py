@@ -6,10 +6,27 @@ Three kinds of operators live here:
   column into a lower one) and its one-unit variant ``shift_c_prime``;
 * the two-column balancing operator ``psi`` built from an interval-system
   centering ``phi_center``, iterated to a fixed point by ``down_compress``;
-  ``psi`` returns its input object unchanged when every slice is already
-  centered;
 * the kernel-reduction operator ``kernel_shift`` / ``reduce_kernel`` that
   peels a staircase t-kernel down to the first row one cell at a time.
+
+``psi``, ``shift_c``, ``shift_c_prime`` and ``kernel_shift`` return their
+input object when they move no member, so a fixed point is recognised by
+identity. ``psi`` decides this before grouping any slice, by a closure test
+on single members. Write x = m(i,F) and y = m(j,F), and call F balanced
+when x - y is 0 or 1. Then psi(i, j) moves nothing if and only if every
+unbalanced member F has two partners in the family, F with columns i and
+j replaced
+
+* by (x-1, y+1) (the step) and by (y+1, x-1) (the mirror) if x >= y + 2;
+* by (x+1, y-1) (the step) and by (y, x) (the mirror) if x < y.
+
+Sketch: a slice (the members that agree outside columns i and j) has at
+most one balanced member; its m(i) values {lo..hi} are centered exactly
+when they are contiguous and lo + hi is s or s + 1, where s = x + y; the
+steps give contiguity toward the centre and the mirrors give the condition
+on lo + hi. The mirror of the mirror is the step, or the mirror is itself
+the step, so only mirrors are looked up. The full proof is in
+:func:`psi`'s docstring.
 
 ``down_compress`` is the map certified by the compression theorem: it
 preserves the family size, never increases the maximum height, and forces
@@ -112,6 +129,24 @@ def _check_columns(n: int, i: int, j: int) -> None:
         raise ParameterError("need two distinct columns")
 
 
+def _centered(family: Family, i: int, j: int) -> bool:
+    """True when every slice of columns i and j is already centered.
+
+    The closure test of :func:`psi`'s docstring: a balanced member costs
+    one subtraction, an unbalanced one a lookup of its mirror.
+    """
+    a, b = i - 1, j - 1
+    for vec in family.mult_vectors():
+        x, y = vec[a], vec[b]
+        if 0 <= x - y <= 1:
+            continue
+        mirror = list(vec)
+        mirror[a], mirror[b] = (y + 1, x - 1) if x > y else (y, x)
+        if tuple(mirror) not in family:
+            return False
+    return True
+
+
 def psi(family: Family, i: int, j: int) -> Family:
     """Balance columns i and j of every slice of the family.
 
@@ -121,10 +156,37 @@ def psi(family: Family, i: int, j: int) -> Family:
     line {1, ..., 2k} (column i top-down onto {1..k}, column j bottom-up
     onto {k+1..2k}), centered with :func:`phi_center`, and folded back.
     Member count is preserved slice by slice, and so is t-intersection;
-    ties in balance land on column i. When every slice is already centered
-    the input family itself is returned.
+    ties in balance land on column i.
+
+    When every slice is already centered the input family itself is
+    returned, decided without grouping by the closure test of the module
+    docstring. Proof, on one slice with m(i) values M and c = ceil(s/2):
+
+    * the balanced value is c, so a slice has at most one balanced member;
+    * the centered image of r values is the block {lo..hi} of r consecutive
+      values with lo + hi in {s, s+1} (one of the two has the parity of
+      r - 1), so M is centered exactly when it is contiguous and
+      min M + max M lies in {s, s+1};
+    * the mirror of x is s + 1 - x when x > c and s - x when x < c, on the
+      other side of c or at c; the mirror of the mirror is x - 1 or x + 1,
+      the step toward c, and a mirror at c is itself the step. So if every
+      unbalanced value has its mirror in M, the steps walk every value of
+      M toward c inside M, and M is contiguous and contains c whenever it
+      has an unbalanced value;
+    * the mirror of max M > c gives min M + max M <= s + 1 and the mirror
+      of min M < c gives min M + max M >= s; a block that ends at c meets
+      the other bound by itself, since 2c lies in {s, s+1};
+    * conversely, the mirrors of a centered block {lo..hi} lie in
+      [s + 1 - hi, s - lo], inside the block.
+
+    A slice that the test finds uncentered must move; if the centering
+    moves nothing, :class:`CertificationError` is raised instead of
+    returning an equal new family, which would keep ``down_compress``
+    sweeping forever.
     """
     _check_columns(family.n, i, j)
+    if _centered(family, i, j):
+        return family
     k = family.k
     a, b = i - 1, j - 1
     slices: dict[tuple[int, ...], list[int]] = {}
@@ -134,7 +196,6 @@ def psi(family: Family, i: int, j: int) -> Family:
         key[b] = 0
         slices.setdefault(tuple(key), []).append(vec[a])
     new_members = []
-    moved = False
     for key, column_i in slices.items():
         s = key[a]
         if s == 0:
@@ -142,9 +203,7 @@ def psi(family: Family, i: int, j: int) -> Family:
             new_members.append(key)
             continue
         folded = IntervalFamily(k, s, tuple(k - mi + 1 for mi in column_i))
-        centered = phi_center(folded)
-        moved = moved or centered.starts != folded.starts
-        for start in centered.starts:
+        for start in phi_center(folded).starts:
             vec = list(key)
             vec[a] = k - start + 1
             vec[b] = s - vec[a]
@@ -153,7 +212,12 @@ def psi(family: Family, i: int, j: int) -> Family:
         raise CertificationError(
             f"psi({i}, {j}) produced {len(new_members)} members from {len(family)}"
         )
-    return family.with_members(new_members) if moved else family
+    out = family.with_members(new_members)
+    if out == family:
+        raise CertificationError(
+            f"psi({i}, {j}) found an uncentered slice but moved no member"
+        )
+    return out
 
 
 def potential(family: Family) -> int:
@@ -284,8 +348,9 @@ def kernel_shift(family: Family, i: int, s: int, j: int) -> Family:
     _check_columns(family.n, i, j)
     if not 1 <= s <= max(family.k, 1):
         raise ParameterError(f"need 1 <= s <= k, got s={s}, k={family.k}")
+    vectors = family.mult_vectors()
     out = []
-    for vec in family.mult_vectors():
+    for vec in vectors:
         if vec[j - 1] == 0 and vec[i - 1] >= s:
             moved = list(vec)
             moved[i - 1] = s - 1
@@ -294,6 +359,8 @@ def kernel_shift(family: Family, i: int, s: int, j: int) -> Family:
             out.append(candidate if candidate not in family else vec)
         else:
             out.append(vec)
+    if out == vectors:
+        return family
     if len(set(out)) != len(out):
         raise CertificationError("kernel_shift produced a collision")
     return family.with_members(out)
@@ -349,8 +416,9 @@ def shift_c(family: Family, i: int, j: int) -> Family:
     _check_columns(family.n, i, j)
     if i > j:
         raise ParameterError("shift_c needs i < j")
+    vectors = family.mult_vectors()
     out = []
-    for vec in family.mult_vectors():
+    for vec in vectors:
         if vec[j - 1] > vec[i - 1]:
             swapped = list(vec)
             swapped[i - 1], swapped[j - 1] = vec[j - 1], vec[i - 1]
@@ -358,6 +426,8 @@ def shift_c(family: Family, i: int, j: int) -> Family:
             out.append(candidate if candidate not in family else vec)
         else:
             out.append(vec)
+    if out == vectors:
+        return family
     if len(set(out)) != len(out):
         raise CertificationError("shift_c produced a collision")
     return family.with_members(out)
@@ -373,8 +443,9 @@ def shift_c_prime(family: Family, i: int, j: int) -> Family:
     _check_columns(family.n, i, j)
     if i > j:
         raise ParameterError("shift_c_prime needs i < j")
+    vectors = family.mult_vectors()
     out = []
-    for vec in family.mult_vectors():
+    for vec in vectors:
         if vec[j - 1] > vec[i - 1]:
             moved = list(vec)
             moved[i - 1] += 1
@@ -383,6 +454,8 @@ def shift_c_prime(family: Family, i: int, j: int) -> Family:
             out.append(candidate if candidate not in family else vec)
         else:
             out.append(vec)
+    if out == vectors:
+        return family
     if len(set(out)) != len(out):
         raise CertificationError("shift_c_prime produced a collision")
     return family.with_members(out)
@@ -397,7 +470,7 @@ def shift_c_fixed_point(family: Family) -> Family:
         for i in range(1, family.n + 1):
             for j in range(i + 1, family.n + 1):
                 candidate = shift_c(current, i, j)
-                if candidate != current:
+                if candidate is not current:
                     current = candidate
                     changed = True
     return current

@@ -35,7 +35,8 @@ from multiekr import (
     shift_c_prime,
 )
 import multiekr
-from multiekr.search import build_star_multiset_family
+from multiekr import compression
+from multiekr.search import build_optimal_multiset_family, build_star_multiset_family
 
 
 def slices(family, i, j):
@@ -49,6 +50,14 @@ def slices(family, i, j):
         s = vec[i - 1] + vec[j - 1]
         groups.setdefault((rest, s), []).append((vec[i - 1], vec[j - 1]))
     return groups
+
+
+def centered_by_phi(k, s, column_i):
+    """Whether phi_center leaves a slice with these m(i) values in place."""
+    if s == 0:
+        return True  # psi leaves a slice with both columns empty alone
+    folded = IntervalFamily(k, s, tuple(k - x + 1 for x in column_i))
+    return phi_center(folded).starts == folded.starts
 
 
 def all_subintervals(k, p, lo, hi):
@@ -124,6 +133,31 @@ class TestIntervalDistance:
             interval_distance(IntervalFamily(2, 1, (1,)), IntervalFamily(3, 1, (1,)))
 
 
+# one slice with m(1) values {0, 2}, which psi centers to {1, 2}
+MOVING = [(2, 0), (0, 2)]
+
+
+def run_optimized(patch):
+    """Run psi on the MOVING family under ``python -O`` after ``patch``; it
+    must raise CertificationError."""
+    script = textwrap.dedent("""
+        from multiekr import Family, compression
+        from multiekr.errors import CertificationError
+    """) + textwrap.dedent(patch) + textwrap.dedent(f"""
+        try:
+            compression.psi(Family({MOVING!r}), 1, 2)
+        except CertificationError:
+            raise SystemExit(0)
+        raise SystemExit("psi returned without a CertificationError")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(multiekr.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestPsi:
     def test_full_slice_is_fixed(self):
         fam = Family([(0, 2), (1, 1), (2, 0)])
@@ -147,26 +181,23 @@ class TestPsi:
     def test_certificate_survives_optimize_flag(self):
         # psi's size certificate must fire even where asserts are stripped:
         # a centering that loses an interval has to raise, not shrink
-        script = textwrap.dedent("""
-            from multiekr import Family, compression
-            from multiekr.errors import CertificationError
-
+        fam = Family(MOVING)
+        assert psi(fam, 1, 2) != fam  # so the patched centering is consulted
+        run_optimized("""
             real = compression.phi_center
             compression.phi_center = lambda fam: compression.IntervalFamily(
                 fam.k, fam.p, real(fam).starts[1:]
             )
-            try:
-                compression.psi(Family([(2, 0), (1, 1)]), 1, 2)
-            except CertificationError:
-                raise SystemExit(0)
-            raise SystemExit("psi returned a family of the wrong size")
         """)
-        env = dict(os.environ, PYTHONPATH=str(Path(multiekr.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
+
+    def test_stuck_certificate_survives_optimize_flag(self):
+        # a slice the closure test finds uncentered must move: a centering
+        # that returns its input has to raise, not hand back an equal copy
+        fam = Family(MOVING)
+        assert psi(fam, 1, 2) != fam
+        run_optimized("""
+            compression.phi_center = lambda fam: fam
+        """)
 
     def test_size_always_preserved(self, small_corpus):
         for n, k, t, fam in small_corpus:
@@ -228,6 +259,37 @@ class TestPsi:
             psi(fam, 1, 1)
         with pytest.raises(ParameterError):
             psi(fam, 0, 2)
+
+
+class TestCenteredTest:
+    """psi's closure test for "every slice is centered" against phi_center."""
+
+    def test_agrees_with_phi_center_exhaustive(self):
+        for k in range(1, 7):
+            for s in range(k + 1):
+                for r in range(1, s + 2):
+                    for column_i in itertools.combinations(range(s + 1), r):
+                        expected = centered_by_phi(k, s, column_i)
+                        for i, j in ((1, 2), (2, 1)):
+                            members = []
+                            for x in column_i:
+                                vec = [0, 0, k - s]
+                                vec[i - 1], vec[j - 1] = x, s - x
+                                members.append(vec)
+                            fam = Family(members)
+                            assert compression._centered(fam, i, j) == expected
+
+    def test_psi_returns_input_exactly_on_centered_slices(self, small_corpus):
+        seen = set()
+        for n, k, t, fam in small_corpus:
+            for i, j in itertools.permutations(range(1, n + 1), 2):
+                centered = all(
+                    centered_by_phi(k, s, [x for x, _ in pairs])
+                    for (_, s), pairs in slices(fam, i, j).items()
+                )
+                assert (psi(fam, i, j) is fam) == centered
+                seen.add(centered)
+        assert seen == {True, False}
 
 
 class TestPotential:
@@ -299,6 +361,34 @@ class TestDownCompress:
             (28, 3, 4, 10445), (29, 1, 3, 87),
         ]
 
+    def test_wide_step_sequence_pinned(self, monkeypatch):
+        # relabelled optimal families on wide ground sets, where almost every
+        # psi call moves nothing: (n, k, t), the (i, j, potential) of every
+        # step and the number of psi calls
+        real = compression.psi
+        calls = []
+
+        def counted_psi(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(compression, "psi", counted_psi)
+        got = []
+        for n, k, t in ((20, 3, 1), (30, 2, 1), (9, 4, 1)):
+            perm = list(range(n))
+            random.Random(1).shuffle(perm)
+            optimal = build_optimal_multiset_family(n, k, t)
+            fam = Family([tuple(v[c] for c in perm) for v in optimal.mult_vectors()], n=n, k=k)
+            steps = []
+            calls.clear()
+            down_compress(fam, t, on_step=lambda s: steps.append((s.i, s.j, s.potential)))
+            got.append(((n, k, t), steps, len(calls)))
+        assert got == [
+            ((20, 3, 1), [(1, 6, 26918220)], 195),
+            ((30, 2, 1), [(1, 15, 223695)], 449),
+            ((9, 4, 1), [(1, 6, 23002320)], 41),
+        ]
+
     def test_refuses_below_proven_range(self):
         fam = Family([(2, 1)])  # n=2, k=3, t=1 needs n >= 5
         with pytest.raises(PreconditionError):
@@ -350,6 +440,10 @@ class TestSaturate:
 
 
 class TestKernelShift:
+    def test_returns_input_when_nothing_moves(self):
+        fam = Family([(2, 1), (3, 0), (1, 2)])
+        assert kernel_shift(fam, 1, 2, 2) is fam
+
     def test_moves_rows(self):
         fam = Family([(3, 0)])
         assert [m.mult for m in kernel_shift(fam, 1, 2, 2)] == [(1, 2)]
@@ -409,6 +503,10 @@ class TestReduceKernel:
 
 
 class TestShiftC:
+    def test_returns_input_when_nothing_moves(self):
+        fam = Family([(0, 2), (2, 0), (1, 1)])
+        assert shift_c(fam, 1, 2) is fam
+
     def test_single_member_swaps(self):
         assert [m.mult for m in shift_c(Family([(0, 2)]), 1, 2)] == [(2, 0)]
 
@@ -431,6 +529,10 @@ class TestShiftC:
 
 
 class TestShiftCPrime:
+    def test_returns_input_when_nothing_moves(self):
+        fam = Family([(0, 2), (1, 1), (2, 0)])
+        assert shift_c_prime(fam, 1, 2) is fam
+
     def test_single_member_moves_one_unit(self):
         assert [m.mult for m in shift_c_prime(Family([(0, 2)]), 1, 2)] == [(1, 1)]
 
