@@ -57,6 +57,7 @@ from .core import (
     is_t_intersecting,
     is_t_kernel,
     l1_distance,
+    multiset_vectors,
     rectangle,
     subfamily_containing,
 )
@@ -130,6 +131,7 @@ __all__ = [
     "mp_threshold",
     "multiset_bound",
     "multiset_bound_proven",
+    "multiset_vectors",
     "phi_center",
     "potential",
     "psi",

@@ -41,7 +41,7 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from . import kernels
-from .core import Family, Multiset, enumerate_multisets, first_row, is_t_intersecting, is_t_kernel
+from .core import Family, Multiset, first_row, is_t_intersecting, is_t_kernel, multiset_vectors
 from .errors import (
     CertificationError,
     DimensionError,
@@ -324,8 +324,7 @@ def saturate(family: Family, t: int) -> Family:
         return family
     vectors = family.mult_vectors()
     present = set(vectors)
-    for cand in enumerate_multisets(n, k, family.height_cap):
-        vec = cand.mult
+    for vec in multiset_vectors(n, k, family.height_cap):
         if vec in present:
             continue
         if kernels.compatible_with_all(vec, vectors, k, t):

@@ -8,6 +8,13 @@ mathematical convention for the ground set [n].
 Equivalently, F is the staircase region {(i, j) : 1 <= j <= m(i,F)} inside
 the rectangle with n columns and ell rows; the staircase view is derived on
 demand and never stored (one source of truth).
+
+All k-multisets of [n] come from one odometer in canonical order.
+:func:`multiset_vectors` yields their multiplicity vectors as plain tuples;
+it is the one to use where only the vectors are read, as in the searches,
+the constructions and the corpus. :func:`enumerate_multisets` wraps each
+vector as a validated :class:`Multiset`, for callers that want the members
+themselves.
 """
 
 from __future__ import annotations
@@ -154,15 +161,18 @@ def l1_distance(f: Multiset, g: Multiset) -> int:
     return sum(abs(a - b) for a, b in zip(f.mult, g.mult))
 
 
-def enumerate_multisets(
+def multiset_vectors(
     n: int, k: int, cap: Optional[int] = None
-) -> Iterator[Multiset]:
-    """Yield every k-multiset of [n] exactly once, in canonical order.
+) -> Iterator[tuple[int, ...]]:
+    """Yield every k-multiset of [n] as its multiplicity vector, in canonical
+    order, each a fresh tuple.
 
-    Canonical order is lexicographic on multiplicity vectors. With ``cap``
-    set, only multisets whose every multiplicity is <= cap are produced;
-    cap=1 reduces to plain k-subsets. The stream is empty when the
-    constraints cannot be met.
+    Canonical order is lexicographic on the vectors. With ``cap`` set, only
+    vectors whose every entry is <= cap are produced; cap=1 reduces to plain
+    k-subsets. The stream is empty when the constraints cannot be met, and
+    bad arguments raise on the first ``next()``. Use this generator where
+    only the vectors are read; :func:`enumerate_multisets` wraps each one as
+    a validated :class:`Multiset` for callers that want the members.
     """
     if n < 1:
         raise ParameterError("need n >= 1")
@@ -180,7 +190,7 @@ def enumerate_multisets(
         _pack_right(vec, k, top)
         last = n - 1
     while True:
-        yield Multiset(vec)
+        yield tuple(vec)
         # the successor raises the rightmost column below top that has mass
         # after it, then packs that mass less one to the right again
         if last <= 0:
@@ -199,6 +209,20 @@ def enumerate_multisets(
             last = n - 1
         else:
             last = i
+
+
+def enumerate_multisets(
+    n: int, k: int, cap: Optional[int] = None
+) -> Iterator[Multiset]:
+    """Yield every k-multiset of [n] exactly once, in canonical order.
+
+    This is :func:`multiset_vectors` with each vector wrapped as a
+    :class:`Multiset`: the same order, the same ``cap`` rule, the same
+    errors on the first ``next()``. Use it where the members are wanted as
+    multisets; callers that only read the vectors take
+    :func:`multiset_vectors` and build no ``Multiset`` per member.
+    """
+    return map(Multiset, multiset_vectors(n, k, cap))
 
 
 def _pack_right(vec: list[int], mass: int, top: int) -> None:

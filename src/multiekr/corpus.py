@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from . import kernels
-from .core import Family, enumerate_multisets
+from .core import Family, multiset_vectors
 from .errors import ParameterError
 
 DEFAULT_SEED = 988
@@ -25,7 +25,7 @@ def random_maximal_family(
     """Greedy maximal t-intersecting family over a shuffled member order."""
     if not 1 <= t <= k:
         raise ParameterError(f"need 1 <= t <= k, got t={t}, k={k}")
-    pool = [m.mult for m in enumerate_multisets(n, k)]
+    pool = list(multiset_vectors(n, k))
     rng.shuffle(pool)
     chosen: list[tuple[int, ...]] = []
     for vec in pool:

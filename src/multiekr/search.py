@@ -23,10 +23,10 @@ from .core import (
     Family,
     Multiset,
     count_multisets,
-    enumerate_multisets,
     first_row,
     is_t_intersecting,
     is_t_kernel,
+    multiset_vectors,
 )
 from .errors import (
     BudgetError,
@@ -164,7 +164,7 @@ def max_t_intersecting(
             f"instance has {n_vertices} vertices, over the budget "
             f"{budget_vertices}"
         )
-    vectors = [m.mult for m in enumerate_multisets(n, k, cap)]
+    vectors = list(multiset_vectors(n, k, cap))
 
     if method == "oracle":
         size, indices, nodes = _oracle_max_clique(vectors, t, budget_nodes)
@@ -231,8 +231,7 @@ def build_kernel_family(n: int, k: int, region: Multiset, r: int) -> Family:
         )
     support = [(c, a) for c, a in enumerate(region.mult) if a]
     members = []
-    for m in enumerate_multisets(n, k):
-        vec = m.mult
+    for vec in multiset_vectors(n, k):
         if sum(a if a < vec[c] else vec[c] for c, a in support) >= r:
             members.append(vec)
     return Family(members, n=n, k=k)

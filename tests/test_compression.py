@@ -16,7 +16,6 @@ from multiekr import (
     ParameterError,
     PreconditionError,
     down_compress,
-    enumerate_multisets,
     first_row,
     interval_distance,
     is_stable,
@@ -24,6 +23,7 @@ from multiekr import (
     is_t_kernel,
     kernel_shift,
     max_t_intersecting,
+    multiset_vectors,
     phi_center,
     potential,
     psi,
@@ -423,7 +423,7 @@ class TestSaturate:
             assert len(out) >= len(fam)
             assert is_t_intersecting(out, t)
             assert all(m in out for m in fam)
-            for cand in enumerate_multisets(n, k):
+            for cand in multiset_vectors(n, k):
                 if cand in out:
                     continue
                 extended = Family(list(out.members) + [cand], n=n, k=k)
@@ -551,7 +551,7 @@ class TestShiftCPrime:
         for n in range(2, 4):
             for k in range(1, 4):
                 for t in range(1, k + 1):
-                    pool = [m.mult for m in enumerate_multisets(n, k)]
+                    pool = list(multiset_vectors(n, k))
                     for combo in itertools.combinations(pool, 2):
                         fam = Family(combo, n=n, k=k)
                         if not is_t_intersecting(fam, t):
@@ -581,7 +581,7 @@ class TestShiftCPrime:
 
 class TestIsStable:
     def test_everything_is_stable(self):
-        fam = Family(list(enumerate_multisets(3, 2)))
+        fam = Family(list(multiset_vectors(3, 2)))
         assert is_stable(fam)
 
     def test_gap_without_exchange_is_not(self):

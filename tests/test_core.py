@@ -18,6 +18,7 @@ from multiekr import (
     is_t_intersecting,
     is_t_kernel,
     l1_distance,
+    multiset_vectors,
     rectangle,
     subfamily_containing,
 )
@@ -173,20 +174,34 @@ class TestEnumeration:
                         v for v in product(range(top + 1), repeat=n) if sum(v) == k
                     )
                     got = [m.mult for m in enumerate_multisets(n, k, cap)]
-                    assert got == expected, (n, k, cap)
+                    vectors = list(multiset_vectors(n, k, cap))
+                    assert got == vectors == expected, (n, k, cap)
+
+    def test_vectors_are_fresh_tuples(self):
+        # every item must outlive the next step of the odometer
+        for n, k, cap in [(1, 3, None), (3, 2, None), (4, 4, 2), (5, 3, 1)]:
+            vectors = list(multiset_vectors(n, k, cap))
+            assert all(type(v) is tuple for v in vectors)
+            assert len({id(v) for v in vectors}) == len(vectors)
 
     @pytest.mark.parametrize("n,k,cap", [(0, 2, None), (3, -1, None), (3, 2, 0)])
     def test_errors_raised_on_first_next(self, n, k, cap):
-        stream = enumerate_multisets(n, k, cap)
-        with pytest.raises(ParameterError):
-            next(stream)
+        for generate in (enumerate_multisets, multiset_vectors):
+            stream = generate(n, k, cap)
+            with pytest.raises(ParameterError):
+                next(stream)
 
     def test_streams(self):
         # C(3001, 2) = 4,501,500 members: the first must not wait for the rest
+        smallest = (0,) * 2999 + (2,)
         started = time.perf_counter()
         first = next(enumerate_multisets(3000, 2))
         assert time.perf_counter() - started < 1.0
-        assert first.mult == (0,) * 2999 + (2,)
+        assert first.mult == smallest
+        started = time.perf_counter()
+        first = next(multiset_vectors(3000, 2))
+        assert time.perf_counter() - started < 1.0
+        assert first == smallest
 
 
 class TestFamily:

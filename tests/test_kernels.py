@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from multiekr import BudgetError, ParameterError, enumerate_multisets
+from multiekr import BudgetError, ParameterError, multiset_vectors
 from multiekr import _kernels_py as pure
 from multiekr import kernels
 from multiekr.bounds import multiset_bound
@@ -32,7 +32,7 @@ def _instances(seed, count):
         n = rng.randint(1, 6)
         k = rng.randint(1, 5)
         t = rng.randint(1, k)
-        vecs = [m.mult for m in enumerate_multisets(n, k)]
+        vecs = list(multiset_vectors(n, k))
         if len(vecs) > 130:
             continue
         out.append((n, k, t, vecs, rng.random()))
@@ -42,7 +42,7 @@ def _instances(seed, count):
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 class TestBackendContracts:
     def test_budget_error(self, backend):
-        vecs = [m.mult for m in enumerate_multisets(3, 2)]
+        vecs = list(multiset_vectors(3, 2))
         with pytest.raises(BudgetError):
             kernels.max_t_clique(vecs, 2, 1, node_budget=2)
 
@@ -51,7 +51,7 @@ class TestBackendContracts:
         assert backend([], 5, 0, 3) == (3, [], 1)
 
     def test_stop_at_still_exact(self, backend):
-        vecs = [m.mult for m in enumerate_multisets(3, 2)]
+        vecs = list(multiset_vectors(3, 2))
         full = kernels.max_t_clique(vecs, 2, 1)
         stopped = kernels.max_t_clique(vecs, 2, 1, stop_at=full[0])
         assert stopped[0] == full[0]
@@ -62,7 +62,7 @@ class TestBackendContracts:
 
     def test_search_leaves_no_garbage(self, backend):
         # the graph must be freed on return, not when the collector next runs
-        vecs = [m.mult for m in enumerate_multisets(7, 5)]
+        vecs = list(multiset_vectors(7, 5))
         gc.collect()
         gc.disable()
         try:
@@ -89,7 +89,7 @@ class TestBackendAgreement:
     @pytest.mark.parametrize("n,k,t", [(7, 5, 3), (6, 4, 2), (8, 4, 1), (12, 3, 1)])
     def test_full_searches_identical(self, clique_c, n, k, t):
         # searches to exhaustion, without a stop bound, on whole enumerations
-        vecs = [m.mult for m in enumerate_multisets(n, k)]
+        vecs = list(multiset_vectors(n, k))
         adj = pure.adjacency_bitsets(vecs, k, t)
         budget = kernels.DEFAULT_NODE_BUDGET
         assert clique_c.branch_and_bound(adj, budget, 0, 0) == (
@@ -105,7 +105,7 @@ class TestBackendAgreement:
         for n in range(1, 10):
             for k in range(1, 7):
                 for cap in (None, 1, 2):
-                    vecs = [m.mult for m in enumerate_multisets(n, k, cap)]
+                    vecs = list(multiset_vectors(n, k, cap))
                     if not vecs or len(vecs) > 130:
                         continue
                     orbits = kernels.column_orbits(vecs)
@@ -133,7 +133,7 @@ class TestBackendAgreement:
 
     def test_lower_bound_semantics_identical(self, clique_c):
         budget = kernels.DEFAULT_NODE_BUDGET
-        vecs = [m.mult for m in enumerate_multisets(4, 3)]
+        vecs = list(multiset_vectors(4, 3))
         adj = pure.adjacency_bitsets(vecs, 3, 1)
         for lb in (0, 2, 50):
             assert pure.branch_and_bound(adj, budget, 0, lb) == (
@@ -156,7 +156,7 @@ class TestAdjacency:
         for n in range(1, 8):
             for k in range(1, 6):
                 for cap in (None, 1, 2):
-                    vecs = [m.mult for m in enumerate_multisets(n, k, cap)]
+                    vecs = list(multiset_vectors(n, k, cap))
                     sizes = [[_shared(a, b) for b in vecs] for a in vecs]
                     for t in range(1, k + 1):
                         expected = [_neighbours(row, i, t) for i, row in enumerate(sizes)]
@@ -166,7 +166,7 @@ class TestAdjacency:
 
     def test_matches_pairwise_definition_at_9_6_3(self):
         # 3003 vertices: a seeded sample of rows keeps the definition cheap
-        vecs = [m.mult for m in enumerate_multisets(9, 6)]
+        vecs = list(multiset_vectors(9, 6))
         adj = pure.adjacency_bitsets(vecs, 6, 3)
         assert len(adj) == 3003
         for i in random.Random(963).sample(range(len(vecs)), 60):
@@ -182,7 +182,7 @@ class TestNodeCounts:
         "n,k,t,size,nodes", [(7, 5, 3, 31, 79), (8, 6, 4, 43, 218), (10, 5, 3, 55, 55)]
     )
     def test_search_to_bound(self, backend, n, k, t, size, nodes):
-        vecs = [m.mult for m in enumerate_multisets(n, k)]
+        vecs = list(multiset_vectors(n, k))
         got, witness, explored = kernels.max_t_clique(
             vecs, k, t, stop_at=multiset_bound(n, k, t)
         )
@@ -193,7 +193,7 @@ class TestNodeCounts:
     )
     def test_refutation_at_bound(self, backend, n, k, t, nodes):
         # without orbit pruning, as for a list that is not column-closed
-        vecs = [m.mult for m in enumerate_multisets(n, k)]
+        vecs = list(multiset_vectors(n, k))
         bound = multiset_bound(n, k, t)
         adj = pure.adjacency_bitsets(vecs, k, t)
         assert backend(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound) == (bound, [], nodes)
@@ -203,7 +203,7 @@ class TestNodeCounts:
         [(7, 5, 3, 10), (8, 5, 3, 27), (8, 6, 4, 22), (10, 5, 3, 22), (9, 6, 4, 34)],
     )
     def test_orbit_refutation_at_bound(self, backend, n, k, t, nodes):
-        vecs = [m.mult for m in enumerate_multisets(n, k)]
+        vecs = list(multiset_vectors(n, k))
         bound = multiset_bound(n, k, t)
         assert kernels.max_t_clique(vecs, k, t, lower_bound=bound) == (bound, [], nodes)
 
@@ -228,16 +228,16 @@ class TestOrbitPruning:
         for n in range(1, 6):
             for k in range(1, 5):
                 for cap in (None, 1, 2):
-                    vecs = [m.mult for m in enumerate_multisets(n, k, cap)]
+                    vecs = list(multiset_vectors(n, k, cap))
                     assert kernels.column_closed(vecs), (n, k, cap)
         assert not kernels.column_closed(self.UNCLOSED)
-        vecs = [m.mult for m in enumerate_multisets(4, 3)]
+        vecs = list(multiset_vectors(4, 3))
         for i in range(len(vecs)):
             assert not kernels.column_closed(vecs[:i] + vecs[i + 1:]), vecs[i]
         assert not kernels.column_closed(vecs + vecs[:1])
 
     def test_orbit_ids(self):
-        vecs = [m.mult for m in enumerate_multisets(4, 3)]
+        vecs = list(multiset_vectors(4, 3))
         orbits = kernels.column_orbits(vecs)
         root = orbits(())
         assert len(set(root)) == 3  # shapes (3), (2,1), (1,1,1)
@@ -252,7 +252,7 @@ class TestOrbitPruning:
     def test_frontier_refutation_compiled(self, clique_c, monkeypatch):
         # the (9,6,3) upper bound: no 3-intersecting family of 190 members
         monkeypatch.setattr(kernels, "branch_and_bound", clique_c.branch_and_bound)
-        vecs = [m.mult for m in enumerate_multisets(9, 6)]
+        vecs = list(multiset_vectors(9, 6))
         assert kernels.max_t_clique(vecs, 6, 3, lower_bound=189) == (189, [], 13043)
 
 
@@ -288,5 +288,5 @@ class TestDispatch:
         assert kernels.backend_name() in ("compiled", "python")
 
     def test_dispatch_matches_selected_module(self):
-        vecs = [m.mult for m in enumerate_multisets(3, 2)]
+        vecs = list(multiset_vectors(3, 2))
         assert kernels.max_t_clique(vecs, 2, 1)[0] == 3

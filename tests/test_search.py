@@ -25,6 +25,7 @@ from multiekr import (
     lift_to_sets,
     max_t_intersecting,
     multiset_bound,
+    multiset_vectors,
     star_bound,
     support_profile,
     verify_theorem,
@@ -70,7 +71,7 @@ class TestMaxTIntersecting:
                     if count_multisets(n, k) > 70:
                         continue
                     pruned = max_t_intersecting(n, k, t)
-                    vectors = [m.mult for m in enumerate_multisets(n, k)]
+                    vectors = list(multiset_vectors(n, k))
                     unassisted = kernels.max_t_clique(vectors, k, t)[0]
                     assert pruned.max_size == unassisted, (n, k, t)
 
@@ -129,7 +130,7 @@ def _small_enumerations():
     for n in range(1, 5):
         for k in range(1, 4):
             for cap in (None, 1):
-                vectors = [m.mult for m in enumerate_multisets(n, k, cap)]
+                vectors = list(multiset_vectors(n, k, cap))
                 if len(vectors) <= 12:
                     yield pytest.param(k, vectors, id=f"n{n}-k{k}-cap{cap}")
 
@@ -140,7 +141,7 @@ def _unclosed_sublists(seed, count):
     out = []
     while len(out) < count:
         n, k = rng.randint(2, 5), rng.randint(2, 4)
-        vectors = [m.mult for m in enumerate_multisets(n, k)]
+        vectors = list(multiset_vectors(n, k))
         sub = sorted(rng.sample(vectors, rng.randint(2, min(12, len(vectors) - 1))))
         if not kernels.column_closed(sub):
             out.append(pytest.param(k, sub, id=f"sublist{len(out)}-n{n}-k{k}"))
@@ -171,7 +172,7 @@ class TestOracle:
     )
     def test_node_counts(self, n, k, t, size, nodes):
         # pinned pivoted branching; the budget stops a search that lost it early
-        vectors = [m.mult for m in enumerate_multisets(n, k)]
+        vectors = list(multiset_vectors(n, k))
         got, witness, explored = _oracle_max_clique(vectors, t, 10 * nodes)
         assert (got, len(witness), explored) == (size, size, nodes)
 
@@ -183,7 +184,7 @@ class TestOracle:
         ]
         assert len(points) == 259
         for n, k, t in points:
-            vectors = [m.mult for m in enumerate_multisets(n, k)]
+            vectors = list(multiset_vectors(n, k))
             bound = multiset_bound(n, k, t)
             assert _oracle_max_clique(vectors, t, 10**6)[0] == bound, (n, k, t)
             size, witness, _ = kernels.max_t_clique(vectors, k, t, lower_bound=bound)
@@ -207,9 +208,9 @@ def _containing(n, k, center):
 def _support_threshold(n, k, window, need):
     """The k-multisets of [n] with >= need support columns among the first window."""
     members = [
-        m.mult
-        for m in enumerate_multisets(n, k)
-        if sum(1 for v in m.mult[:window] if v) >= need
+        vec
+        for vec in multiset_vectors(n, k)
+        if sum(1 for v in vec[:window] if v) >= need
     ]
     return Family(members, n=n, k=k)
 
