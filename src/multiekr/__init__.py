@@ -6,7 +6,7 @@ Library surface:
   canonical enumeration, the interchange file format;
 * :mod:`multiekr.bounds` — the star bound and the exact AK maximum on the
   lifted ground set, in arbitrary-precision integers;
-* :mod:`multiekr.compression` — the shifting / balancing / kernel-reduction
+* :mod:`multiekr.compression` — the balancing and kernel-reduction
   operators and the down-compression fixed point;
 * :mod:`multiekr.search` — exact branch-and-bound maximization, extremal
   constructions, the lifting to set families, theorem verification;
@@ -23,7 +23,6 @@ from .bounds import (
     ak,
     ak_family_size,
     bound_report,
-    lifted_star_threshold,
     mp_threshold,
     multiset_bound,
     multiset_bound_proven,
@@ -40,15 +39,10 @@ from .compression import (
     potential,
     psi,
     reduce_kernel,
-    saturate,
-    shift_c,
-    shift_c_fixed_point,
-    shift_c_prime,
 )
 from .core import (
     Family,
     Multiset,
-    StaircaseCell,
     count_multisets,
     enumerate_multisets,
     first_row,
@@ -59,7 +53,6 @@ from .core import (
     l1_distance,
     multiset_vectors,
     rectangle,
-    subfamily_containing,
 )
 from .errors import (
     BudgetError,
@@ -78,7 +71,6 @@ from .search import (
     build_ak_set_family,
     build_kernel_family,
     build_optimal_multiset_family,
-    build_star_multiset_family,
     lift_to_sets,
     max_t_intersecting,
     support_profile,
@@ -97,13 +89,12 @@ __all__ = [
     "Family",
     "FormatError",
     "IntervalFamily",
-    "Multiset",
     "MultiEkrError",
+    "Multiset",
     "ParameterError",
     "PreconditionError",
     "SearchResult",
     "SetFamily",
-    "StaircaseCell",
     "VerifyReport",
     "ak",
     "ak_family_size",
@@ -112,7 +103,6 @@ __all__ = [
     "build_ak_set_family",
     "build_kernel_family",
     "build_optimal_multiset_family",
-    "build_star_multiset_family",
     "count_multisets",
     "down_compress",
     "enumerate_multisets",
@@ -126,7 +116,6 @@ __all__ = [
     "kernel_shift",
     "l1_distance",
     "lift_to_sets",
-    "lifted_star_threshold",
     "max_t_intersecting",
     "mp_threshold",
     "multiset_bound",
@@ -137,12 +126,7 @@ __all__ = [
     "psi",
     "rectangle",
     "reduce_kernel",
-    "saturate",
-    "shift_c",
-    "shift_c_fixed_point",
-    "shift_c_prime",
     "star_bound",
-    "subfamily_containing",
     "support_profile",
     "verify_theorem",
 ]

@@ -51,22 +51,31 @@ def ak_family_size(n: int, k: int, t: int, i: int) -> int:
     return total
 
 
+def _windows(n: int, k: int, t: int) -> list[tuple[int, int]]:
+    """(i, |A(n, k, t, i)|) for every i >= 0 with t+2i <= n and t+i <= k."""
+    if not 1 <= t <= k <= n:
+        raise ParameterError(f"need 1 <= t <= k <= n, got {(n, k, t)}")
+    per_i = []
+    i = 0
+    while t + 2 * i <= n and t + i <= k:
+        per_i.append((i, ak_family_size(n, k, t, i)))
+        i += 1
+    return per_i
+
+
+def _first_max(per_i: list[tuple[int, int]]) -> AKValue:
+    # max keeps the first of equal keys, so ties go to the smaller i
+    i_star, value = max(per_i, key=lambda pair: pair[1])
+    return AKValue(value, i_star)
+
+
 def ak(n: int, k: int, t: int) -> AKValue:
     """Maximize |A(n, k, t, i)| over all admissible i.
 
     i ranges over i >= 0 with t+2i <= n and t+i <= k; ties break toward the
     smaller i so reports and constructions are deterministic.
     """
-    if not 1 <= t <= k <= n:
-        raise ParameterError(f"need 1 <= t <= k <= n, got {(n, k, t)}")
-    best = AKValue(-1, -1)
-    i = 0
-    while t + 2 * i <= n and t + i <= k:
-        size = ak_family_size(n, k, t, i)
-        if size > best.value:
-            best = AKValue(size, i)
-        i += 1
-    return best
+    return _first_max(_windows(n, k, t))
 
 
 def star_bound(n: int, k: int, t: int) -> int:
@@ -98,21 +107,14 @@ def multiset_bound_proven(n: int, k: int, t: int) -> bool:
 
 
 def mp_threshold(n: int, k: int, t: int) -> bool:
-    """True when n >= t(k-t)+2, the regime where the star is optimal."""
-    if not 1 <= t <= k:
-        raise ParameterError(f"need 1 <= t <= k, got {(k, t)}")
-    return n >= t * (k - t) + 2
+    """True when n >= t(k-t)+2, the regime where the star is optimal.
 
-
-def lifted_star_threshold(n: int, k: int, t: int) -> bool:
-    """True when n+k-1 >= (t+1)(k-t+1), star optimality on the lifted set.
-
-    Algebraically identical to :func:`mp_threshold`; both are exposed so
-    the identity can be asserted rather than assumed.
+    On the lifted ground set this is the set-family threshold
+    n+k-1 >= (t+1)(k-t+1), since (t+1)(k-t+1) - (k-1) = t(k-t)+2.
     """
     if not 1 <= t <= k:
         raise ParameterError(f"need 1 <= t <= k, got {(k, t)}")
-    return n + k - 1 >= (t + 1) * (k - t + 1)
+    return n >= t * (k - t) + 2
 
 
 @dataclass(frozen=True)
@@ -146,13 +148,8 @@ class BoundReport:
 
 def bound_report(n: int, k: int, t: int) -> BoundReport:
     """Evaluate star and AK bounds on the lifted ground set n+k-1."""
-    lifted = n + k - 1
-    per_i = []
-    i = 0
-    while t + 2 * i <= lifted and t + i <= k:
-        per_i.append((i, ak_family_size(lifted, k, t, i)))
-        i += 1
-    value, i_star = ak(lifted, k, t)
+    per_i = _windows(n + k - 1, k, t)
+    value, i_star = _first_max(per_i)
     return BoundReport(
         n=n,
         k=k,

@@ -1,19 +1,16 @@
-"""Shifting and compression operators on families of k-multisets.
+"""Balancing, compression and kernel-reduction operators on k-multisets.
 
-Three kinds of operators live here:
+Two kinds of operators live here:
 
-* column-exchange shifting ``shift_c`` (swap the whole excess of a higher
-  column into a lower one) and its one-unit variant ``shift_c_prime``;
 * the two-column balancing operator ``psi`` built from an interval-system
   centering ``phi_center``, iterated to a fixed point by ``down_compress``;
 * the kernel-reduction operator ``kernel_shift`` / ``reduce_kernel`` that
   peels a staircase t-kernel down to the first row one cell at a time.
 
-``psi``, ``shift_c``, ``shift_c_prime`` and ``kernel_shift`` return their
-input object when they move no member, so a fixed point is recognised by
-identity. ``psi`` decides this before grouping any slice, by a closure test
-on single members. Write x = m(i,F) and y = m(j,F), and call F balanced
-when x - y is 0 or 1. Then psi(i, j) moves nothing if and only if every
+``psi`` and ``kernel_shift`` return their input object when they move no
+member, so a fixed point is recognised by identity. ``psi`` decides this
+before grouping any slice, by a closure test on single members. Write
+x = m(i,F) and y = m(j,F), and call F balanced when x - y is 0 or 1. Then psi(i, j) moves nothing if and only if every
 unbalanced member F has two partners in the family, F with columns i and
 j replaced
 
@@ -40,8 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
-from . import kernels
-from .core import Family, Multiset, first_row, is_t_intersecting, is_t_kernel, multiset_vectors
+from .core import Family, Multiset, first_row, is_t_intersecting, is_t_kernel
 from .errors import (
     CertificationError,
     DimensionError,
@@ -82,10 +78,6 @@ class IntervalFamily:
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    def is_complete_block(self) -> bool:
-        """True when the starts are consecutive integers (class-I family)."""
-        return self.starts[-1] - self.starts[0] + 1 == len(self.starts)
 
 
 def phi_center(fam: IntervalFamily) -> IntervalFamily:
@@ -304,36 +296,6 @@ def down_compress(
 
 
 # --------------------------------------------------------------------------
-# saturation
-
-
-def saturate(family: Family, t: int) -> Family:
-    """Greedily extend to a maximal t-intersecting family.
-
-    Candidates are tried in canonical order (honoring the family's height
-    cap) and added whenever they keep the family t-intersecting. The result
-    contains the input and admits no further k-multiset.
-    """
-    if t < 0:
-        raise ParameterError("need t >= 0")
-    if not is_t_intersecting(family, t):
-        raise PreconditionError("input family is not t-intersecting")
-    n, k = family.n, family.k
-    if k < t:
-        # no k-multiset t-intersects itself, so nothing can ever be added
-        return family
-    vectors = family.mult_vectors()
-    present = set(vectors)
-    for vec in multiset_vectors(n, k, family.height_cap):
-        if vec in present:
-            continue
-        if kernels.compatible_with_all(vec, vectors, k, t):
-            vectors.append(vec)
-            present.add(vec)
-    return family.with_members(vectors)
-
-
-# --------------------------------------------------------------------------
 # kernel reduction
 
 
@@ -402,81 +364,8 @@ def reduce_kernel(
     return current, Multiset(reduced)
 
 
-# --------------------------------------------------------------------------
-# classic column-exchange shifting
-
-
-def shift_c(family: Family, i: int, j: int) -> Family:
-    """Swap the multiplicities of columns i < j wherever column j is taller.
-
-    A member is replaced by its swapped form unless that form is already in
-    the family, so size, t-intersection and any height cap are preserved.
-    """
-    _check_columns(family.n, i, j)
-    if i > j:
-        raise ParameterError("shift_c needs i < j")
-    vectors = family.mult_vectors()
-    out = []
-    for vec in vectors:
-        if vec[j - 1] > vec[i - 1]:
-            swapped = list(vec)
-            swapped[i - 1], swapped[j - 1] = vec[j - 1], vec[i - 1]
-            candidate = tuple(swapped)
-            out.append(candidate if candidate not in family else vec)
-        else:
-            out.append(vec)
-    if out == vectors:
-        return family
-    if len(set(out)) != len(out):
-        raise CertificationError("shift_c produced a collision")
-    return family.with_members(out)
-
-
-def shift_c_prime(family: Family, i: int, j: int) -> Family:
-    """Move one unit from column j to column i < j wherever j is taller.
-
-    Unlike :func:`shift_c` this does NOT preserve t-intersection in
-    general; it exists to exhibit that failure and to test that families
-    already fixed under every shift_c are fixed under it as well.
-    """
-    _check_columns(family.n, i, j)
-    if i > j:
-        raise ParameterError("shift_c_prime needs i < j")
-    vectors = family.mult_vectors()
-    out = []
-    for vec in vectors:
-        if vec[j - 1] > vec[i - 1]:
-            moved = list(vec)
-            moved[i - 1] += 1
-            moved[j - 1] -= 1
-            candidate = tuple(moved)
-            out.append(candidate if candidate not in family else vec)
-        else:
-            out.append(vec)
-    if out == vectors:
-        return family
-    if len(set(out)) != len(out):
-        raise CertificationError("shift_c_prime produced a collision")
-    return family.with_members(out)
-
-
-def shift_c_fixed_point(family: Family) -> Family:
-    """Apply shift_c over all pairs i < j until nothing changes."""
-    current = family
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, family.n + 1):
-            for j in range(i + 1, family.n + 1):
-                candidate = shift_c(current, i, j)
-                if candidate is not current:
-                    current = candidate
-                    changed = True
-    return current
-
-
 def is_stable(family: Family) -> bool:
-    """Check the exchange-closure property of well-shifted families.
+    """Check the exchange-closure property of a family.
 
     For every member F: if m(i,F) + 1 < m(j,F) for any i != j, then
     F - e_j + e_i must be a member too, and the same with the weak

@@ -6,8 +6,8 @@ Columns are numbered from 1 in every public signature, matching the usual
 mathematical convention for the ground set [n].
 
 Equivalently, F is the staircase region {(i, j) : 1 <= j <= m(i,F)} inside
-the rectangle with n columns and ell rows; the staircase view is derived on
-demand and never stored (one source of truth).
+the rectangle with n columns and ell rows; :func:`rectangle` and
+:func:`first_row` give the full rectangle and its bottom row as multisets.
 
 All k-multisets of [n] come from one odometer in canonical order.
 :func:`multiset_vectors` yields their multiplicity vectors as plain tuples;
@@ -21,17 +21,10 @@ from __future__ import annotations
 
 import re
 from operator import index
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import kernels
 from .errors import DimensionError, FormatError, ParameterError
-
-
-class StaircaseCell(NamedTuple):
-    """One unit cell (column, row) of the rectangle view, both 1-based."""
-
-    column: int
-    row: int
 
 
 class Multiset:
@@ -93,33 +86,6 @@ class Multiset:
     def support(self) -> frozenset[int]:
         """Columns that appear at least once."""
         return frozenset(i + 1 for i, v in enumerate(self.mult) if v > 0)
-
-    def contains(self, other: "Multiset") -> bool:
-        """True when every multiplicity of ``other`` fits under this one."""
-        _check_same_n(self, other)
-        return all(a >= b for a, b in zip(self.mult, other.mult))
-
-    def cells(self) -> frozenset[StaircaseCell]:
-        """The staircase view: all cells (i, j) with j <= m(i, F)."""
-        return frozenset(
-            StaircaseCell(i + 1, j)
-            for i, v in enumerate(self.mult)
-            for j in range(1, v + 1)
-        )
-
-    @classmethod
-    def from_cells(cls, n: int, cells: Iterable[StaircaseCell]) -> "Multiset":
-        """Rebuild a multiset from staircase cells; rejects non-staircases."""
-        heights = [0] * n
-        counts = [0] * n
-        for col, row in cells:
-            if not (1 <= col <= n and row >= 1):
-                raise ParameterError(f"cell ({col}, {row}) outside the rectangle")
-            heights[col - 1] = max(heights[col - 1], row)
-            counts[col - 1] += 1
-        if heights != counts:
-            raise ParameterError("cells do not form a staircase region")
-        return cls(heights)
 
 
 def rectangle(n: int, height: int) -> Multiset:
@@ -430,13 +396,3 @@ def is_t_kernel(family: Family, region: Multiset, t: int) -> bool:
     return kernels.all_pairs_at_least_in_region(
         family.mult_vectors(), family.k, region.mult, t
     )
-
-
-def subfamily_containing(family: Family, region: Multiset) -> Family:
-    """Members that contain ``region`` coordinatewise."""
-    if region.n != family.n:
-        raise DimensionError(
-            f"region has n={region.n}, family has n={family.n}"
-        )
-    keep = [m for m in family if m.contains(region)]
-    return family.with_members(keep)

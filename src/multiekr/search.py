@@ -10,7 +10,6 @@ intersection itself.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -64,9 +63,6 @@ class SearchResult:
             "nodes_explored": self.nodes_explored,
             "witness": [list(m.mult) for m in self.witness],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _oracle_max_clique(
@@ -195,22 +191,6 @@ def max_t_intersecting(
 
 # --------------------------------------------------------------------------
 # constructions
-
-
-def build_star_multiset_family(
-    n: int, k: int, t: int, center: Multiset
-) -> Family:
-    """All k-multisets of [n] that contain the fixed t-multiset ``center``.
-
-    The kernel family of the center at level t = |center|.
-    """
-    if center.n != n:
-        raise DimensionError(f"center has n={center.n}, expected {n}")
-    if center.k != t:
-        raise ParameterError(f"center has cardinality {center.k}, expected t={t}")
-    if not 0 <= t <= k:
-        raise ParameterError(f"need 0 <= t <= k, got t={t}, k={k}")
-    return build_kernel_family(n, k, center, t)
 
 
 def build_kernel_family(n: int, k: int, region: Multiset, r: int) -> Family:

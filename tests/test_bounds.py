@@ -8,7 +8,6 @@ from multiekr import (
     ak_family_size,
     bound_report,
     build_ak_set_family,
-    lifted_star_threshold,
     mp_threshold,
     multiset_bound,
     multiset_bound_proven,
@@ -123,13 +122,6 @@ class TestThresholds:
     def test_examples(self):
         assert not mp_threshold(7, 5, 3)  # threshold is 8
         assert mp_threshold(8, 5, 3)
-        assert lifted_star_threshold(8, 5, 3)  # 12 >= 12 on the lifted side
-
-    def test_two_formulations_agree(self):
-        for k in range(1, 8):
-            for t in range(1, k + 1):
-                for n in range(1, 40):
-                    assert mp_threshold(n, k, t) == lifted_star_threshold(n, k, t)
 
     def test_threshold_matches_equality_grid(self):
         # derived by evaluating both sides over t <= k <= 6, 2k-t <= n <= 20:

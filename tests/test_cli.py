@@ -1,10 +1,13 @@
 import argparse
+import ast
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import multiekr
 from multiekr import Family, Multiset, cli
 from multiekr.cli import (
     EXIT_BUDGET,
@@ -15,7 +18,7 @@ from multiekr.cli import (
     main,
 )
 from multiekr.errors import CertificationError
-from multiekr.search import build_star_multiset_family
+from multiekr.search import build_kernel_family
 
 
 def run(capsys, *argv):
@@ -81,7 +84,7 @@ class TestEnumerate:
 
 class TestCompress:
     def test_star_is_already_compressed(self, capsys, tmp_path):
-        star = build_star_multiset_family(4, 2, 1, Multiset((1, 0, 0, 0)))
+        star = build_kernel_family(4, 2, Multiset((1, 0, 0, 0)), 1)
         in_path = tmp_path / "star.txt"
         star.save(str(in_path))
         trace_path = tmp_path / "trace.csv"
@@ -286,6 +289,24 @@ def _readme_commands():
     ]
 
 
+def _readme_tour():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quick tour\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+# a tour comment that opens with one of these states the line's value
+_TOUR_RESULT = re.compile(r"\([^)]*\)|\d+|True|False")
+
+
+class TestPublicSurface:
+    def test_all_names_resolve_sorted_unique(self):
+        names = multiekr.__all__
+        assert names == sorted(set(names))
+        for name in names:
+            getattr(multiekr, name)
+
+
 class TestReadme:
     def test_command_lines_exit_zero(self, capsys, tmp_path, monkeypatch):
         # the lines run in order: compress reads the file enumerate writes
@@ -295,3 +316,17 @@ class TestReadme:
         for argv in commands:
             code, _, err = run(capsys, *argv)
             assert code == EXIT_OK, (argv, err)
+
+    def test_library_tour_values(self):
+        namespace = {}
+        checked = []
+        for line in _readme_tour().splitlines():
+            code, _, comment = line.partition("#")
+            result = _TOUR_RESULT.match(comment.strip())
+            if result is None:
+                exec(code, namespace)
+                continue
+            expected = ast.literal_eval(result.group())
+            assert eval(code, namespace) == expected, line
+            checked.append(expected)
+        assert checked == [(2, 1, 0, 0, 0), 6, 31, 28, 31, True, True, True]

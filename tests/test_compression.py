@@ -29,14 +29,10 @@ from multiekr import (
     psi,
     rectangle,
     reduce_kernel,
-    saturate,
-    shift_c,
-    shift_c_fixed_point,
-    shift_c_prime,
 )
 import multiekr
 from multiekr import compression
-from multiekr.search import build_optimal_multiset_family, build_star_multiset_family
+from multiekr.search import build_kernel_family, build_optimal_multiset_family
 
 
 def slices(family, i, j):
@@ -77,8 +73,6 @@ class TestIntervalFamily:
     def test_starts_normalized(self):
         fam = IntervalFamily(3, 2, (4, 1, 4))
         assert fam.starts == (1, 4)
-        assert not fam.is_complete_block()
-        assert all_subintervals(3, 1, 2, 4).is_complete_block()
 
 
 class TestPhiCenter:
@@ -95,7 +89,8 @@ class TestPhiCenter:
                         centered = phi_center(fam)
                         assert phi_center(centered) == centered
                         assert len(centered) == len(fam)
-                        assert centered.is_complete_block()
+                        first = centered.starts[0]
+                        assert centered.starts == tuple(range(first, first + len(fam)))
 
     def test_non_consecutive_starts(self):
         fam = IntervalFamily(3, 2, (1, 4))
@@ -311,14 +306,14 @@ class TestPotential:
 class TestDownCompress:
     def test_star_over_first_row_center_unchanged(self):
         center = Multiset((1, 1, 0, 0, 0))
-        star = build_star_multiset_family(5, 3, 2, center)
+        star = build_kernel_family(5, 3, center, 2)
         steps = []
         out = down_compress(star, 2, on_step=steps.append)
         assert out == star and steps == []
 
     def test_tall_star_gets_first_row_kernel(self):
         center = Multiset((2, 1, 0, 0, 0))
-        star = build_star_multiset_family(5, 4, 3, center)
+        star = build_kernel_family(5, 4, center, 3)
         out = down_compress(star, 3)
         assert len(out) == len(star)
         assert is_t_kernel(out, first_row(5), 3)
@@ -400,45 +395,6 @@ class TestDownCompress:
             down_compress(fam, 1)
 
 
-class TestSaturate:
-    def test_maximal_family_unchanged(self, small_corpus):
-        for n, k, t, fam in small_corpus[:8]:
-            assert saturate(fam, t) == fam
-
-    def test_full_intersection_singleton(self):
-        fam = Family([(1, 2, 0)])
-        assert saturate(fam, 3) == fam
-
-    def test_grows_to_maximality(self):
-        rng = random.Random(3)
-        for _ in range(25):
-            n = rng.randint(1, 4)
-            k = rng.randint(1, 4)
-            t = rng.randint(1, k)
-            counts = [0] * n
-            for _ in range(k):
-                counts[rng.randrange(n)] += 1
-            fam = Family([Multiset(counts)], n=n, k=k)
-            out = saturate(fam, t)
-            assert len(out) >= len(fam)
-            assert is_t_intersecting(out, t)
-            assert all(m in out for m in fam)
-            for cand in multiset_vectors(n, k):
-                if cand in out:
-                    continue
-                extended = Family(list(out.members) + [cand], n=n, k=k)
-                assert not is_t_intersecting(extended, t)
-
-    def test_respects_height_cap(self):
-        fam = Family([(1, 1, 0)], height_cap=1)
-        out = saturate(fam, 1)
-        assert out.max_height() <= 1
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(PreconditionError):
-            saturate(Family([(2, 0, 0), (0, 2, 0)]), 1)
-
-
 class TestKernelShift:
     def test_returns_input_when_nothing_moves(self):
         fam = Family([(2, 1), (3, 0), (1, 2)])
@@ -500,83 +456,6 @@ class TestReduceKernel:
                 current, region = new_fam, new_region
             assert region == first_row(n)
             assert steps == n * (k - 1)
-
-
-class TestShiftC:
-    def test_returns_input_when_nothing_moves(self):
-        fam = Family([(0, 2), (2, 0), (1, 1)])
-        assert shift_c(fam, 1, 2) is fam
-
-    def test_single_member_swaps(self):
-        assert [m.mult for m in shift_c(Family([(0, 2)]), 1, 2)] == [(2, 0)]
-
-    def test_existing_image_blocks(self):
-        fam = Family([(0, 2), (2, 0)])
-        assert shift_c(fam, 1, 2) == fam
-
-    def test_preserves_t_intersection_and_cap(self, small_corpus):
-        for n, k, t, fam in small_corpus:
-            capped = Family(fam.members, n=n, k=k, height_cap=max(1, fam.max_height()))
-            for i, j in itertools.combinations(range(1, n + 1), 2):
-                out = shift_c(capped, i, j)
-                assert len(out) == len(capped)
-                assert is_t_intersecting(out, t)
-                assert out.max_height() <= capped.height_cap
-
-    def test_needs_increasing_columns(self):
-        with pytest.raises(ParameterError):
-            shift_c(Family([(1, 1)]), 2, 1)
-
-
-class TestShiftCPrime:
-    def test_returns_input_when_nothing_moves(self):
-        fam = Family([(0, 2), (1, 1), (2, 0)])
-        assert shift_c_prime(fam, 1, 2) is fam
-
-    def test_single_member_moves_one_unit(self):
-        assert [m.mult for m in shift_c_prime(Family([(0, 2)]), 1, 2)] == [(1, 1)]
-
-    def test_concrete_intersection_break(self):
-        # found by exhaustive search over n <= 3, k <= 3: one unit moved out
-        # of column 2 of (1,2) leaves (2,1), which meets (0,3) in only one
-        fam = Family([(0, 3), (1, 2)])
-        assert is_t_intersecting(fam, 2)
-        out = shift_c_prime(fam, 1, 2)
-        assert sorted(m.mult for m in out) == [(0, 3), (2, 1)]
-        assert not is_t_intersecting(out, 2)
-
-    def test_witness_search_reproduces(self):
-        # the oracle behind the frozen witness above
-        found = None
-        for n in range(2, 4):
-            for k in range(1, 4):
-                for t in range(1, k + 1):
-                    pool = list(multiset_vectors(n, k))
-                    for combo in itertools.combinations(pool, 2):
-                        fam = Family(combo, n=n, k=k)
-                        if not is_t_intersecting(fam, t):
-                            continue
-                        for i, j in itertools.combinations(range(1, n + 1), 2):
-                            if not is_t_intersecting(shift_c_prime(fam, i, j), t):
-                                found = (n, k, t, combo, i, j)
-                                break
-                        if found:
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
-                break
-        assert found == (2, 3, 2, ((0, 3), (1, 2)), 1, 2)
-
-    def test_fixed_under_shift_c_implies_fixed_under_prime(self):
-        # maximum families, once fully shifted, admit no one-unit move
-        for n, k, t in [(3, 2, 1), (4, 2, 1), (4, 3, 2), (3, 2, 2)]:
-            witness = max_t_intersecting(n, k, t).witness
-            shifted = shift_c_fixed_point(witness)
-            for i, j in itertools.combinations(range(1, n + 1), 2):
-                assert shift_c_prime(shifted, i, j) == shifted
 
 
 class TestIsStable:

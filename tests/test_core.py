@@ -20,10 +20,8 @@ from multiekr import (
     l1_distance,
     multiset_vectors,
     rectangle,
-    subfamily_containing,
 )
-from multiekr.core import StaircaseCell
-from multiekr.search import build_star_multiset_family
+from multiekr.search import build_kernel_family
 
 
 class TestMultiset:
@@ -51,22 +49,6 @@ class TestMultiset:
 
     def test_canonical_order_is_lex(self):
         assert Multiset((0, 2)) < Multiset((1, 1)) < Multiset((2, 0))
-
-    def test_staircase_roundtrip_exhaustive(self):
-        for n in range(1, 4):
-            for k in range(0, 4):
-                for m in enumerate_multisets(n, k):
-                    assert Multiset.from_cells(n, m.cells()) == m
-
-    def test_from_cells_rejects_floating_cell(self):
-        with pytest.raises(ParameterError):
-            Multiset.from_cells(2, [StaircaseCell(1, 2)])  # row 1 missing
-
-    def test_contains_is_coordinatewise(self):
-        assert Multiset((2, 1)).contains(Multiset((1, 1)))
-        assert not Multiset((2, 1)).contains(Multiset((0, 2)))
-        with pytest.raises(DimensionError):
-            Multiset((2, 1)).contains(Multiset((1, 1, 0)))
 
 
 class TestIntersection:
@@ -281,54 +263,12 @@ class TestPredicates:
 
     def test_star_center_is_kernel(self):
         center = Multiset((1, 1, 0, 0))
-        star = build_star_multiset_family(4, 3, 2, center)
+        star = build_kernel_family(4, 3, center, 2)
         assert is_t_kernel(star, center, 2)
 
     def test_kernel_dimension_check(self):
         with pytest.raises(DimensionError):
             is_t_kernel(Family([(1, 1)]), Multiset((1, 1, 1)), 1)
-
-
-class TestSubfamilyContaining:
-    def test_zero_region_gives_everything(self):
-        fam = Family([(1, 1), (2, 0)])
-        assert subfamily_containing(fam, Multiset((0, 0))) == fam
-
-    def test_star_queried_at_center(self):
-        center = Multiset((1, 0, 1, 0))
-        star = build_star_multiset_family(4, 3, 2, center)
-        assert subfamily_containing(star, center) == star
-
-    def test_agrees_with_bruteforce(self):
-        rng = random.Random(17)
-        for _ in range(60):
-            n = rng.randint(1, 4)
-            k = rng.randint(0, 4)
-            pool = list(enumerate_multisets(n, k))
-            members = [m for m in pool if rng.random() < 0.5]
-            fam = Family(members, n=n, k=k)
-            region = Multiset(_random_vec(rng, n, rng.randint(0, k)))
-            got = subfamily_containing(fam, region)
-            want = [
-                m
-                for m in members
-                if all(a >= b for a, b in zip(m.mult, region.mult))
-            ]
-            assert sorted(got.members) == sorted(want)
-
-    def test_small_tail_bound_for_noncontaining_families(self, small_corpus):
-        # either every member contains the region or the containing part is
-        # small: at most k * C(nk, k - t - 1) members
-        rng = random.Random(5)
-        for n, k, t, fam in small_corpus:
-            pool = list(enumerate_multisets(n, t))
-            region = pool[rng.randrange(len(pool))]
-            part = subfamily_containing(fam, region)
-            if len(part) == len(fam):
-                continue
-            allowance = k - t - 1
-            bound = 0 if allowance < 0 else k * comb(n * k, allowance)
-            assert len(part) <= bound
 
 
 class TestMaxHeight:
