@@ -6,7 +6,8 @@ k-multiset occupies bit c*k + r, so the intersection size of two multisets
 is the popcount of the AND of their masks. The adjacency build slices the
 other way: one bit set per cell, with a bit per vertex that owns the cell,
 so each vertex finds all its neighbours at once instead of pair by pair.
-These are the only implementations of the pair checks and the adjacency.
+These are the only implementations of the pair checks and the adjacency;
+set families use the same pair check, each k-subset as a 0/1 vector.
 The branch and bound also exists in C (``_clique_c.c``), with identical
 branching order and the same optional orbit pruning at depths 0 and 1, so
 results and node counts match bit for bit.
@@ -19,11 +20,6 @@ from itertools import compress
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetError, ParameterError
-
-
-def intersection_size(a: Sequence[int], b: Sequence[int]) -> int:
-    """Sum of coordinatewise minima of two multiplicity vectors."""
-    return sum(x if x < y else y for x, y in zip(a, b))
 
 
 def _too_high(v: int, k: int) -> ParameterError:

@@ -13,7 +13,13 @@ from math import comb
 from typing import Iterator, NamedTuple
 
 from . import corpus as corpus_mod
-from .bounds import ak_family_size, mp_threshold, multiset_bound, star_bound
+from .bounds import (
+    ak_family_size,
+    mp_threshold,
+    multiset_bound,
+    multiset_bound_proven,
+    star_bound,
+)
 from .compression import (
     CompressionStep,
     IntervalFamily,
@@ -85,9 +91,9 @@ def star_identity() -> Iterator[Row]:
 def threshold() -> Iterator[Row]:
     """Criterion 2: the star is optimal exactly from n = t(k-t)+2 on.
 
-    Below the threshold (and from n = 2k-t, where the bound is proven) the
-    star is strictly beaten whenever a wider-window family exists, which
-    needs k > t. At k == t only (1, 1, 1) is below it: two distinct
+    Below the threshold (and where the bound is proven) the star is
+    strictly beaten whenever a wider-window family exists, which needs
+    k > t. At k == t only (1, 1, 1) is below it: two distinct
     k-multisets never k-intersect, so both bounds are 1 there.
     """
     for k in range(1, 7):
@@ -101,7 +107,7 @@ def threshold() -> Iterator[Row]:
                         star_bound(n, k, t),
                         multiset_bound(n, k, t),
                     )
-                elif n < 2 * k - t:
+                elif not multiset_bound_proven(n, k, t):
                     continue
                 elif k > t:
                     yield Row(
@@ -120,13 +126,14 @@ def threshold() -> Iterator[Row]:
 
 
 def _sharpness_grid(limit: int) -> list[tuple[int, int, int]]:
-    """(7, 5, 3) plus every n >= 2k-t, k <= 4 point with C(n+k-1, k) <= limit."""
+    """(7, 5, 3) plus every proven k <= 4 point with C(n+k-1, k) <= limit."""
     instances = [(7, 5, 3)]
     for k in range(1, 5):
         for t in range(1, k + 1):
-            n = max(1, 2 * k - t)
+            n = 1
             while count_multisets(n, k) <= limit:
-                instances.append((n, k, t))
+                if multiset_bound_proven(n, k, t):
+                    instances.append((n, k, t))
                 n += 1
     return sorted(set(instances))
 

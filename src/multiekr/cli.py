@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from . import battery
 from . import bounds as bounds_mod
 from .compression import CompressionStep, down_compress
-from .core import Family, enumerate_multisets
+from .core import Family, multiset_vectors
 from .corpus import DEFAULT_SEED
 from .errors import BudgetError, CertificationError, MultiEkrError
 from .search import (
@@ -55,6 +55,17 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _positive_int(text: str) -> int:
+    """A size or budget: below 1 it would check nothing or exit 3 unasked."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def _emit(out_path: Optional[str], text: str) -> None:
     if out_path:
         with open(out_path, "w", encoding="ascii") as fh:
@@ -84,8 +95,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    members = list(enumerate_multisets(args.n, args.k, args.cap))
-    fam = Family(members, n=args.n, k=args.k, height_cap=args.cap)
+    fam = Family(multiset_vectors(args.n, args.k, args.cap), n=args.n, k=args.k)
     _emit(args.out, fam.to_text())
     return EXIT_OK
 
@@ -132,7 +142,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     all_sharp = True
     for n, k, t in _grid(args):
-        if n < 2 * k - t:
+        if not bounds_mod.multiset_bound_proven(n, k, t):
             lines.append(
                 f"n={n} k={k} t={t} SKIP (no proven bound below n=2k-t)"
             )
@@ -201,9 +211,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="optional height cap on multiplicities")
 
     def add_budgets(p):
-        p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
+        p.add_argument("--budget-nodes", type=_positive_int,
+                       default=DEFAULT_NODE_BUDGET,
                        help="search node budget (exceeding it exits 3)")
-        p.add_argument("--budget-vertices", type=int,
+        p.add_argument("--budget-vertices", type=_positive_int,
                        default=DEFAULT_VERTEX_BUDGET,
                        help="instance size budget (exceeding it exits 3)")
 
@@ -267,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--quick", action="store_true",
                          help="small sharpness grid without the oracle, corpus"
                          f" of at most {battery.QUICK_CORPUS_SIZE} families")
-    p_table.add_argument("--corpus-size", type=int, default=battery.CORPUS_SIZE,
+    p_table.add_argument("--corpus-size", type=_positive_int,
+                         default=battery.CORPUS_SIZE,
                          help="number of random maximal families in the corpus")
     return parser
 

@@ -15,6 +15,10 @@ it is the one to use where only the vectors are read, as in the searches,
 the constructions and the corpus. :func:`enumerate_multisets` wraps each
 vector as a validated :class:`Multiset`, for callers that want the members
 themselves.
+
+A :class:`Family` stores its members the same way, as a sorted tuple of
+multiplicity vectors; :meth:`Family.mult_vectors` hands them to the checks
+and operators, and iterating a family yields :class:`Multiset` views.
 """
 
 from __future__ import annotations
@@ -112,9 +116,9 @@ def intersect(f: Multiset, g: Multiset) -> Multiset:
 
 
 def intersection_size(f: Multiset, g: Multiset) -> int:
-    """|f intersect g| without materializing the intersection."""
+    """|f intersect g|, the sum of coordinatewise minima."""
     _check_same_n(f, g)
-    return kernels.intersection_size(f.mult, g.mult)
+    return sum(a if a < b else b for a, b in zip(f.mult, g.mult))
 
 
 def l1_distance(f: Multiset, g: Multiset) -> int:
@@ -224,24 +228,23 @@ def count_multisets(n: int, k: int, cap: Optional[int] = None) -> int:
 class Family:
     """A duplicate-free, canonically ordered collection of k-multisets.
 
-    All members share the same (n, k); ``height_cap`` optionally bounds
-    every multiplicity. Equal families have identical member sequences, so
-    they also serialize identically.
+    All members share the same (n, k). Each member is validated as a
+    :class:`Multiset` and stored as its multiplicity vector, in canonical
+    (lexicographic) order; iteration yields :class:`Multiset` views of the
+    vectors. Equal families have identical vector sequences, so they also
+    serialize identically.
     """
 
-    __slots__ = ("n", "k", "members", "height_cap", "_member_set")
+    __slots__ = ("n", "k", "_vectors", "_member_set")
 
     n: int
     k: int
-    members: tuple[Multiset, ...]
-    height_cap: Optional[int]
 
     def __init__(
         self,
         members: Iterable[Union[Multiset, Sequence[int]]],
         n: Optional[int] = None,
         k: Optional[int] = None,
-        height_cap: Optional[int] = None,
     ):
         normalized = tuple(
             m if isinstance(m, Multiset) else Multiset(m) for m in members
@@ -262,35 +265,24 @@ class Family:
                 raise DimensionError("members mix different ground sets")
             if m.k != k:
                 raise ParameterError("members mix different cardinalities")
-        if height_cap is not None:
-            if height_cap < 1:
-                raise ParameterError("height_cap must be >= 1 when given")
-            for m in normalized:
-                if max(m.mult) > height_cap:
-                    raise ParameterError(
-                        f"member {m.mult!r} exceeds height cap {height_cap}"
-                    )
-        ordered = tuple(sorted(set(normalized)))
+        member_set = frozenset(m.mult for m in normalized)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "members", ordered)
-        object.__setattr__(self, "height_cap", height_cap)
-        object.__setattr__(self, "_member_set", frozenset(m.mult for m in ordered))
+        object.__setattr__(self, "_vectors", tuple(sorted(member_set)))
+        object.__setattr__(self, "_member_set", member_set)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Family is immutable")
 
     @classmethod
-    def empty(
-        cls, n: int, k: int, height_cap: Optional[int] = None
-    ) -> "Family":
-        return cls((), n=n, k=k, height_cap=height_cap)
+    def empty(cls, n: int, k: int) -> "Family":
+        return cls((), n=n, k=k)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._vectors)
 
     def __iter__(self) -> Iterator[Multiset]:
-        return iter(self.members)
+        return map(Multiset, self._vectors)
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, Multiset):
@@ -304,28 +296,28 @@ class Family:
             isinstance(other, Family)
             and self.n == other.n
             and self.k == other.k
-            and self.members == other.members
+            and self._vectors == other._vectors
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.k, self.members))
+        return hash((self.n, self.k, self._vectors))
 
     def __repr__(self) -> str:
-        return f"Family(n={self.n}, k={self.k}, size={len(self.members)})"
+        return f"Family(n={self.n}, k={self.k}, size={len(self._vectors)})"
 
     def mult_vectors(self) -> list[tuple[int, ...]]:
         """Raw multiplicity vectors, in canonical order."""
-        return [m.mult for m in self.members]
+        return list(self._vectors)
 
     def max_height(self) -> int:
         """Largest multiplicity over all members and columns; 0 if empty."""
-        return max((max(m.mult) for m in self.members), default=0)
+        return max(map(max, self._vectors), default=0)
 
     def with_members(
         self, members: Iterable[Union[Multiset, Sequence[int]]]
     ) -> "Family":
-        """Same (n, k, cap), different member list."""
-        return Family(members, n=self.n, k=self.k, height_cap=self.height_cap)
+        """Same (n, k), different member list."""
+        return Family(members, n=self.n, k=self.k)
 
     # --- interchange format ------------------------------------------------
     # header line "n=<n> k=<k>", then one member per line as comma-separated
@@ -333,7 +325,7 @@ class Family:
 
     def to_text(self) -> str:
         lines = [f"n={self.n} k={self.k}"]
-        lines.extend(",".join(str(v) for v in m.mult) for m in self.members)
+        lines.extend(",".join(map(str, vec)) for vec in self._vectors)
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -1,12 +1,12 @@
 """The hot kernels, and the choice of clique search backend.
 
-The pair predicates, ``intersection_size`` and the adjacency build have one
-implementation each, in pure Python (``multiekr._kernels_py``). Only the
-branch and bound exists twice: a hand-written C extension
-(``multiekr._clique_c``) and the pure-Python original. The compiled search
-is used when it imports, the pure one otherwise. Both use the same
-branching order, so sizes, witnesses and node counts are identical either
-way.
+The pair predicates and the adjacency build have one implementation each,
+in pure Python (``multiekr._kernels_py``); multiset and set families alike
+go through the same pair predicates. Only the branch and bound exists
+twice: a hand-written C extension (``multiekr._clique_c``) and the
+pure-Python original. The compiled search is used when it imports, the
+pure one otherwise. Both use the same branching order, so sizes, witnesses
+and node counts are identical either way.
 
 A refutation (``lower_bound`` > 0) over a vertex list that every column
 permutation maps onto itself also prunes by symmetry: a column permutation
@@ -27,7 +27,6 @@ from ._kernels_py import (  # noqa: F401 (re-exported: the only copies)
     all_pairs_at_least,
     all_pairs_at_least_in_region,
     compatible_with_all,
-    intersection_size,
 )
 
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -65,29 +64,23 @@ def column_orbits(
 ) -> Callable[[tuple[int, ...]], list[int]]:
     """Orbit ids under the column permutations that fix given vertices.
 
-    ``orbits(fixed)`` groups the columns by their values on the vertices in
-    ``fixed``; a permutation fixes them all exactly when it maps each group
-    onto itself. Sorting a vector's values within each group gives the one
-    member of its orbit that is sorted there, and the id is that member's
-    index. At the root (``fixed == ()``) the orbit is the vector's shape.
-    Valid only for a column-closed list, which holds every such member.
+    A column's profile is its values on the vertices in ``fixed``, and a
+    permutation fixes them all exactly when it keeps every column's profile.
+    It maps w to w' exactly when the multisets of (profile, value) pairs
+    over the columns of w and w' are equal, so that multiset is the orbit,
+    and ``orbits(fixed)`` numbers the orbits by first appearance. At the
+    root (``fixed == ()``) the orbit is the vector's shape. Valid only for
+    a column-closed list, which every such permutation maps onto itself.
     O(N) per call.
     """
-    index = {vec: i for i, vec in enumerate(vectors)}
-    columns = range(len(vectors[0]) if vectors else 0)
 
     def orbits(fixed: tuple[int, ...]) -> list[int]:
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for c in columns:
-            groups.setdefault(tuple(vectors[v][c] for v in fixed), []).append(c)
-        movable = [group for group in groups.values() if len(group) > 1]
+        rows = [vectors[f] for f in fixed]
+        ids: dict[tuple[tuple[int, ...], ...], int] = {}
         out = []
         for w in vectors:
-            sorted_w = list(w)
-            for group in movable:
-                for c, x in zip(group, sorted([w[c] for c in group])):
-                    sorted_w[c] = x
-            out.append(index[tuple(sorted_w)])
+            key = tuple(sorted(zip(*rows, w)))
+            out.append(ids.setdefault(key, len(ids)))
         return out
 
     return orbits

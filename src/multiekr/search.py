@@ -10,6 +10,7 @@ intersection itself.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -61,7 +62,7 @@ class SearchResult:
             "max_size": self.max_size,
             "method": self.method,
             "nodes_explored": self.nodes_explored,
-            "witness": [list(m.mult) for m in self.witness],
+            "witness": [list(vec) for vec in self.witness.mult_vectors()],
         }
 
 
@@ -171,9 +172,7 @@ def max_t_intersecting(
         size, indices, nodes = kernels.max_t_clique(
             vectors, k, t, node_budget=budget_nodes, stop_at=stop_at
         )
-    witness = Family(
-        [vectors[idx] for idx in indices], n=n, k=k, height_cap=cap
-    )
+    witness = Family([vectors[idx] for idx in indices], n=n, k=k)
     result = SearchResult(
         n=n,
         k=k,
@@ -246,12 +245,15 @@ class SetFamily:
         return iter(self.members)
 
     def is_t_intersecting(self, t: int) -> bool:
-        sets = [set(m) for m in self.members]
-        for i in range(len(sets)):
-            for j in range(i, len(sets)):
-                if len(sets[i] & sets[j]) < t:
-                    return False
-        return True
+        """True when every pair of members, a member with itself included,
+        shares at least t points: each k-subset goes through the multiset
+        pair check as a 0/1 vector, and the diagonal pairs ask for k >= t."""
+        if not self.members:
+            return True
+        ground = range(1, self.n_ground + 1)
+        vectors = [tuple(int(x in m) for x in ground) for m in map(set, self.members)]
+        k = len(self.members[0])
+        return k >= t and kernels.all_pairs_at_least(vectors, k, t)
 
 
 def build_ak_set_family(n_ground: int, k: int, t: int, i: int) -> SetFamily:
@@ -323,32 +325,28 @@ def lift_to_sets(family: Family, t: int) -> SetFamily:
     n, k = family.n, family.k
     if not is_t_kernel(family, first_row(n), t):
         raise PreconditionError("the first row is not a t-kernel of the family")
-    supports: dict[int, set[tuple[int, ...]]] = {}
-    for member in family:
-        sup = tuple(sorted(member.support()))
-        supports.setdefault(len(sup), set()).add(sup)
+    supports = _supports(family)
     extras = range(n + 1, n + k)
-    members = []
-    for s, group in supports.items():
-        for sup in group:
-            for extension in combinations(extras, k - s):
-                members.append(tuple(sorted(sup + extension)))
+    members = [
+        sup + extension
+        for sup in supports
+        for extension in combinations(extras, k - len(sup))
+    ]
     lifted = SetFamily(n + k - 1, tuple(members))
-    expected = sum(
-        len(group) * comb(k - 1, k - s) for s, group in supports.items()
-    )
+    expected = sum(comb(k - 1, k - len(sup)) for sup in supports)
     if len(lifted) != expected:
         raise CertificationError("lift produced colliding members")
     return lifted
 
 
+def _supports(family: Family) -> set[tuple[int, ...]]:
+    """The distinct member supports, each a sorted tuple of columns."""
+    return {tuple(c for c, a in enumerate(v, 1) if a) for v in family.mult_vectors()}
+
+
 def support_profile(family: Family) -> dict[int, int]:
     """|G_s| per support size s: distinct first-row restrictions."""
-    supports: dict[int, set[frozenset[int]]] = {}
-    for member in family:
-        sup = member.support()
-        supports.setdefault(len(sup), set()).add(sup)
-    return {s: len(group) for s, group in sorted(supports.items())}
+    return dict(sorted(Counter(map(len, _supports(family))).items()))
 
 
 # --------------------------------------------------------------------------
@@ -409,7 +407,7 @@ def verify_theorem(
     """
     if not 1 <= t <= k:
         raise ParameterError(f"need 1 <= t <= k, got t={t}, k={k}")
-    if n < 2 * k - t:
+    if not multiset_bound_proven(n, k, t):
         raise PreconditionError(
             f"verify_theorem needs n >= 2k - t; got n={n}, k={k}, t={t}"
         )

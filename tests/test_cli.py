@@ -240,6 +240,22 @@ class TestUsage:
             main(list(argv))
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--quick", "--corpus-size", "-3"),
+            ("table", "--quick", "--corpus-size", "0"),
+            ("search", "--n", "3", "--k", "2", "--t", "1", "--budget-nodes", "-1"),
+            ("verify", "--n", "3", "--k", "2", "--t", "1", "--budget-vertices", "0"),
+        ],
+    )
+    def test_size_or_budget_below_one(self, argv):
+        # a corpus of no families checks nothing; a negative budget is not
+        # an exceeded one
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+
     def test_each_subcommand_declares_only_what_it_reads(self):
         (commands,) = [
             action

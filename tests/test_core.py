@@ -15,6 +15,7 @@ from multiekr import (
     enumerate_multisets,
     first_row,
     intersect,
+    intersection_size,
     is_t_intersecting,
     is_t_kernel,
     l1_distance,
@@ -69,6 +70,13 @@ class TestIntersection:
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             intersect(Multiset((1,)), Multiset((1, 0)))
+
+    def test_intersection_size(self):
+        f = Multiset((3, 1, 2, 0, 0))
+        assert intersection_size(f, Multiset((2, 2, 0, 1, 1))) == 3
+        assert intersection_size(Multiset((0, 0)), Multiset((0, 0))) == 0
+        with pytest.raises(DimensionError):
+            intersection_size(Multiset((1,)), Multiset((1, 0)))
 
 
 class TestL1Distance:
@@ -203,12 +211,6 @@ class TestFamily:
         fam = Family.empty(3, 2)
         assert len(fam) == 0 and fam.n == 3 and fam.k == 2
 
-    def test_height_cap_enforced(self):
-        with pytest.raises(ParameterError):
-            Family([(2, 0)], height_cap=1)
-        fam = Family([(1, 1)], height_cap=1)
-        assert fam.height_cap == 1
-
     def test_contains_multiset_or_tuple(self):
         fam = Family([(1, 1), (2, 0)])
         assert Multiset((1, 1)) in fam and (2, 0) in fam
@@ -276,7 +278,7 @@ class TestMaxHeight:
         assert Family([(3, 1, 2, 0, 0)]).max_height() == 3
 
     def test_capped_family(self):
-        fam = Family(list(enumerate_multisets(4, 3, 1)), height_cap=1)
+        fam = Family(list(enumerate_multisets(4, 3, 1)))
         assert fam.max_height() == 1
 
     def test_empty(self):

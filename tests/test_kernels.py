@@ -3,6 +3,7 @@ and bounds (pure Python and the C extension) against each other."""
 
 import gc
 import random
+from itertools import permutations
 
 import pytest
 
@@ -249,6 +250,18 @@ class TestOrbitPruning:
         assert below[vecs.index((1, 2, 0, 0))] != below[vecs.index((2, 1, 0, 0))]
         assert len(set(below)) == 13  # (20 vectors + 6 fixed by the swap) / 2
 
+    def test_orbit_ids_match_brute_force(self):
+        # below each root branch v: the orbits of the permutations fixing v
+        vecs = list(multiset_vectors(4, 3))
+        orbits = kernels.column_orbits(vecs)
+        perms = list(permutations(range(4)))
+        for v, vec in enumerate(vecs):
+            fixing = [p for p in perms if tuple(vec[c] for c in p) == vec]
+            ids = orbits((v,))
+            for i, a in enumerate(vecs):
+                same = {b for j, b in enumerate(vecs) if ids[j] == ids[i]}
+                assert same == {tuple(a[c] for c in p) for p in fixing}, (vec, a)
+
     def test_frontier_refutation_compiled(self, clique_c, monkeypatch):
         # the (9,6,3) upper bound: no 3-intersecting family of 190 members
         monkeypatch.setattr(kernels, "branch_and_bound", clique_c.branch_and_bound)
@@ -280,10 +293,6 @@ class TestStaircaseHeight:
 
 
 class TestDispatch:
-    def test_intersection_size(self):
-        assert kernels.intersection_size((3, 1, 2, 0, 0), (2, 2, 0, 1, 1)) == 3
-        assert kernels.intersection_size((0, 0), (0, 0)) == 0
-
     def test_backend_reported(self):
         assert kernels.backend_name() in ("compiled", "python")
 

@@ -12,6 +12,7 @@ from multiekr import (
     Multiset,
     ParameterError,
     PreconditionError,
+    SetFamily,
     build_ak_set_family,
     build_kernel_family,
     build_optimal_multiset_family,
@@ -79,7 +80,7 @@ class TestMaxTIntersecting:
         res = max_t_intersecting(2, 2, 1)
         assert res.max_size == 2
 
-    def test_height_cap_restricts(self):
+    def test_cap_restricts(self):
         capped = max_t_intersecting(4, 2, 1, cap=1)
         assert capped.max_size == 3  # a star of 2-sets over one point
         assert capped.witness.max_height() <= 1
@@ -286,6 +287,33 @@ class TestBuildAkSetFamily:
                         fam = build_ak_set_family(n, k, t, i)
                         assert fam.is_t_intersecting(t), (n, k, t, i)
                         i += 1
+
+
+class TestSetFamilyIntersection:
+    def test_disjoint_sets(self):
+        fam = SetFamily(4, ((1, 2), (3, 4)))
+        assert fam.is_t_intersecting(0)
+        assert not fam.is_t_intersecting(1)
+
+    def test_diagonal_needs_t_at_most_k(self):
+        fam = SetFamily(3, ((1, 2),))
+        assert fam.is_t_intersecting(2)
+        assert not fam.is_t_intersecting(3)
+        assert SetFamily(3, ()).is_t_intersecting(3)
+
+    def test_matches_set_definition(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            k = rng.randint(0, n)
+            pool = list(itertools.combinations(range(1, n + 1), k))
+            members = rng.sample(pool, rng.randint(1, min(len(pool), 6)))
+            fam = SetFamily(n, tuple(members))
+            for t in range(k + 2):
+                expected = all(
+                    len(set(a) & set(b)) >= t for a in members for b in members
+                )
+                assert fam.is_t_intersecting(t) == expected, (members, t)
 
 
 class TestBuildOptimal:
