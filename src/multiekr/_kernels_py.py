@@ -6,6 +6,10 @@ k-multiset occupies bit c*k + r, so the intersection size of two multisets
 is the popcount of the AND of their masks. The adjacency build slices the
 other way: one bit set per cell, with a bit per vertex that owns the cell,
 so each vertex finds all its neighbours at once instead of pair by pair.
+Its second pass reads each vertex's cell list from the first and carries
+the shared-cell counts over the cell prefix that consecutive vertices have
+in common; in canonical order fewer than two cells per vertex lie past it,
+on average.
 These are the only implementations of the pair checks and the adjacency;
 set families use the same pair check, each k-subset as a 0/1 vector.
 The branch and bound also exists in C (``_clique_c.c``), with identical
@@ -91,34 +95,61 @@ def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[in
     column c exceeds r. Vertex i shares its cell (c, r) with exactly the
     vertices in that level, so a count over i's own cells of "at least s
     shared cells" gives its neighbours with whole-graph bit operations.
-    Raises ParameterError when a multiplicity exceeds k.
+
+    The first pass fills the levels and records each vertex's cells in
+    column order. The second pass keeps the counts row by row: the row
+    after a vertex's first j cells depends on those cells alone, so a
+    vertex takes over the rows of the longest cell prefix it shares with
+    the vertex before it. In canonical order that leaves 1 to 1.7 new cells
+    per vertex on average (1.6 at n = 10, k = 6); any order gives the same
+    result. Raises ParameterError when a multiplicity exceeds k.
     """
     nv = len(vectors)
     if nv == 0:
         return []
     columns = range(len(vectors[0]))
     level = [0] * (len(columns) * k)
+    cell_lists = []
     for i, vec in enumerate(vectors):
         bit = 1 << i
+        cells: list[int] = []
         for c in compress(columns, vec):
             if vec[c] > k:
                 raise _too_high(vec[c], k)
             base = c * k
-            for r in range(base, base + vec[c]):
-                level[r] |= bit
+            cells.extend(range(base, base + vec[c]))
+        for r in cells:
+            level[r] |= bit
+        cell_lists.append(cells)
     everyone = (1 << nv) - 1
     adj = [0] * nv
-    for i, vec in enumerate(vectors):
-        at_least = [everyone] + [0] * t
-        cells = 0
-        for c in compress(columns, vec):
-            base = c * k
-            for r in range(base, base + vec[c]):
-                cells += 1
-                shared = level[r]
-                for s in range(min(t, cells), 0, -1):
-                    at_least[s] |= at_least[s - 1] & shared
-        adj[i] = at_least[t] & ~(1 << i)
+    # rows[j][s]: the vertices sharing at least s of the first j cells of
+    # ``prev``, for s <= min(j, t); the last cell of a vertex needs only s = t
+    rows = [[everyone]]
+    prev: list[int] = []
+    for i, cells in enumerate(cell_lists):
+        cell_lists[i] = None  # only ``prev`` is kept once a vertex is read
+        last = len(cells) - 1
+        limit = min(last, len(rows) - 1)
+        p = 0
+        while p < limit and cells[p] == prev[p]:
+            p += 1
+        del rows[p + 1:]
+        row = rows[p]
+        for r in cells[p:last]:
+            shared = level[r]
+            nxt = [everyone]
+            for s in range(1, len(row)):
+                nxt.append(row[s] | (row[s - 1] & shared))
+            if len(row) <= t:
+                nxt.append(row[-1] & shared)
+            rows.append(nxt)
+            row = nxt
+        hit = row[t] if t < len(row) else 0
+        if 0 < t <= len(row) and last >= 0:
+            hit |= row[t - 1] & level[cells[last]]
+        adj[i] = hit & ~(1 << i)
+        prev = cells
     return adj
 
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from collections import Counter
 from math import comb
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from . import _kernels_py
 from ._kernels_py import (  # noqa: F401 (re-exported: the only copies)
@@ -61,27 +62,39 @@ def column_closed(vectors: list[tuple[int, ...]]) -> bool:
 
 def column_orbits(
     vectors: list[tuple[int, ...]],
-) -> Callable[[tuple[int, ...]], list[int]]:
+) -> Callable[[tuple[int, ...]], Sequence[int]]:
     """Orbit ids under the column permutations that fix given vertices.
 
-    A column's profile is its values on the vertices in ``fixed``, and a
-    permutation fixes them all exactly when it keeps every column's profile.
-    It maps w to w' exactly when the multisets of (profile, value) pairs
-    over the columns of w and w' are equal, so that multiset is the orbit,
-    and ``orbits(fixed)`` numbers the orbits by first appearance. At the
-    root (``fixed == ()``) the orbit is the vector's shape. Valid only for
-    a column-closed list, which every such permutation maps onto itself.
-    O(N) per call.
+    ``orbits(())`` numbers the shapes (sorted vectors) by first appearance:
+    every column permutation preserves a shape, and on a column-closed list
+    any two vectors of one shape are a permutation apart. ``orbits((v,))``
+    numbers, also by first appearance, the orbits of the permutations that
+    fix v, which are those that keep each class of equal entries of v. One maps w to w' exactly when w
+    and w' have the same shape and the same multiset of values on every
+    class where v is nonzero; the zero class follows from the shape. Valid
+    only for a column-closed list, which every such permutation maps onto
+    itself. The shapes are numbered once; a call below the root is
+    O(N·|supp v|). Deeper calls raise ValueError: the search prunes orbits
+    at depths 0 and 1 only.
     """
+    shapes: dict[tuple[int, ...], int] = {}
+    root = tuple(shapes.setdefault(tuple(sorted(w)), len(shapes)) for w in vectors)
 
-    def orbits(fixed: tuple[int, ...]) -> list[int]:
-        rows = [vectors[f] for f in fixed]
-        ids: dict[tuple[tuple[int, ...], ...], int] = {}
-        out = []
-        for w in vectors:
-            key = tuple(sorted(zip(*rows, w)))
-            out.append(ids.setdefault(key, len(ids)))
-        return out
+    def orbits(fixed: tuple[int, ...]) -> Sequence[int]:
+        if not fixed:
+            return root
+        if len(fixed) > 1:
+            raise ValueError("column_orbits fixes at most one vertex")
+        classes: dict[int, list[int]] = {}
+        for c, a in enumerate(vectors[fixed[0]]):
+            if a:
+                classes.setdefault(a, []).append(c)
+        keys: list[Iterable] = [root]
+        for cols in classes.values():
+            values = map(itemgetter(*cols), vectors)
+            keys.append(values if len(cols) == 1 else map(tuple, map(sorted, values)))
+        ids: dict[tuple, int] = {}
+        return [ids.setdefault(key, len(ids)) for key in zip(*keys)]
 
     return orbits
 

@@ -11,7 +11,6 @@ import multiekr
 from multiekr import Family, Multiset, cli
 from multiekr.cli import (
     EXIT_BUDGET,
-    EXIT_IDENTITY,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,

@@ -165,6 +165,21 @@ class TestAdjacency:
                             n, k, cap, t,
                         )
 
+    def test_any_vertex_order(self):
+        # rows are reused along shared cell prefixes; out of canonical order
+        # neighbours differ early, and mixed sizes give prefixes of any length
+        rng = random.Random(4)
+        mixed = [v for size in range(5) for v in multiset_vectors(4, size)]
+        cases = [(list(multiset_vectors(6, 4)), 4), (list(multiset_vectors(5, 4, 2)), 4),
+                 (TestOrbitPruning.UNCLOSED, 3), (mixed, 4)]
+        for vecs, k in cases:
+            for _ in range(3):
+                vecs = rng.sample(vecs, len(vecs))
+                sizes = [[_shared(a, b) for b in vecs] for a in vecs]
+                for t in range(0, k + 2):
+                    expected = [_neighbours(row, i, t) for i, row in enumerate(sizes)]
+                    assert pure.adjacency_bitsets(vecs, k, t) == expected, (vecs[:3], t)
+
     def test_matches_pairwise_definition_at_9_6_3(self):
         # 3003 vertices: a seeded sample of rows keeps the definition cheap
         vecs = list(multiset_vectors(9, 6))
@@ -180,7 +195,11 @@ class TestNodeCounts:
     """Pinned branching: a faster graph build must not change the search."""
 
     @pytest.mark.parametrize(
-        "n,k,t,size,nodes", [(7, 5, 3, 31, 79), (8, 6, 4, 43, 218), (10, 5, 3, 55, 55)]
+        "n,k,t,size,nodes",
+        [
+            (7, 5, 3, 31, 79), (8, 6, 4, 43, 218), (10, 5, 3, 55, 55),
+            (9, 6, 4, 49, 206), (10, 6, 4, 55, 55),
+        ],
     )
     def test_search_to_bound(self, backend, n, k, t, size, nodes):
         vecs = list(multiset_vectors(n, k))
@@ -251,16 +270,21 @@ class TestOrbitPruning:
         assert len(set(below)) == 13  # (20 vectors + 6 fixed by the swap) / 2
 
     def test_orbit_ids_match_brute_force(self):
-        # below each root branch v: the orbits of the permutations fixing v
-        vecs = list(multiset_vectors(4, 3))
-        orbits = kernels.column_orbits(vecs)
-        perms = list(permutations(range(4)))
-        for v, vec in enumerate(vecs):
-            fixing = [p for p in perms if tuple(vec[c] for c in p) == vec]
-            ids = orbits((v,))
-            for i, a in enumerate(vecs):
-                same = {b for j, b in enumerate(vecs) if ids[j] == ids[i]}
-                assert same == {tuple(a[c] for c in p) for p in fixing}, (vec, a)
+        # at the root and below each root branch v: the orbits of the column
+        # permutations that fix the path
+        for n, k, cap in [(4, 3, None), (5, 3, None), (4, 4, 2)]:
+            vecs = list(multiset_vectors(n, k, cap))
+            orbits = kernels.column_orbits(vecs)
+            perms = list(permutations(range(n)))
+            for fixed in [()] + [(v,) for v in range(len(vecs))]:
+                fixing = [p for p in perms
+                          if all(tuple(vecs[f][c] for c in p) == vecs[f] for f in fixed)]
+                ids = orbits(fixed)
+                for i, a in enumerate(vecs):
+                    same = {b for j, b in enumerate(vecs) if ids[j] == ids[i]}
+                    assert same == {tuple(a[c] for c in p) for p in fixing}, (fixed, a)
+            with pytest.raises(ValueError):
+                orbits((0, 1))
 
     def test_frontier_refutation_compiled(self, clique_c, monkeypatch):
         # the (9,6,3) upper bound: no 3-intersecting family of 190 members

@@ -7,7 +7,6 @@ import pytest
 
 from multiekr import (
     BudgetError,
-    CertificationError,
     Family,
     Multiset,
     ParameterError,
@@ -19,7 +18,6 @@ from multiekr import (
     count_multisets,
     down_compress,
     enumerate_multisets,
-    intersection_size,
     is_t_intersecting,
     lift_to_sets,
     max_t_intersecting,
