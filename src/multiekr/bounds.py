@@ -134,16 +134,7 @@ class BoundReport:
         return f"{self.n},{self.k},{self.t},{self.star},{self.ak_set},{self.i_star}"
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "t": self.t,
-            "star": self.star,
-            "ak_set": self.ak_set,
-            "i_star": self.i_star,
-            "per_i": [list(pair) for pair in self.per_i],
-            "proven": self.proven,
-        }
+        return dict(vars(self))
 
 
 def bound_report(n: int, k: int, t: int) -> BoundReport:

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import traceback
+from itertools import product
 from typing import Optional, Sequence
 
 from . import battery
@@ -74,12 +75,13 @@ def _emit(out_path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
-def _grid(args: argparse.Namespace):
-    for n in args.n:
-        for k in args.k:
-            for t in args.t:
-                if 1 <= t <= k and n >= 1:
-                    yield n, k, t
+def _grid(args: argparse.Namespace) -> list[tuple[int, int, int]]:
+    """The grid points with 1 <= t <= k and n >= 1; having none is a usage error."""
+    points = [(n, k, t) for n, k, t in product(args.n, args.k, args.t)
+              if 1 <= t <= k and n >= 1]
+    if not points:
+        raise argparse.ArgumentTypeError("no grid point has 1 <= t <= k and n >= 1")
+    return points
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
@@ -117,7 +119,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    points = list(_grid(args))
+    points = _grid(args)
     if args.witness and len(points) != 1:
         raise argparse.ArgumentTypeError("--witness needs a single (n, k, t) grid point")
     results = [

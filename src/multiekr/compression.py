@@ -2,8 +2,8 @@
 
 Two kinds of operators live here:
 
-* the two-column balancing operator ``psi`` built from an interval-system
-  centering ``phi_center``, iterated to a fixed point by ``down_compress``;
+* the two-column balancing operator ``psi``, which centers every slice
+  of two columns, iterated to a fixed point by ``down_compress``;
 * the kernel-reduction operator ``kernel_shift`` / ``reduce_kernel`` that
   peels a staircase t-kernel down to the first row one cell at a time.
 
@@ -33,6 +33,7 @@ by the strictly decreasing integer potential of :func:`potential`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
@@ -49,13 +50,24 @@ from .errors import (
 # interval systems on the line {1, ..., 2k}
 
 
+def _block(s: int, r: int) -> range:
+    """The m(i) values of a centered slice of r members with m(i) + m(j) = s.
+
+    The r consecutive values ending at floor((s + r) / 2): their minimum
+    plus maximum is s or s + 1, so ties in balance land on column i.
+    """
+    top = (s + r) // 2
+    return range(top - r + 1, top + 1)
+
+
 @dataclass(frozen=True)
 class IntervalFamily:
     """Equal-length subintervals of {1, ..., 2k}, held by their starts.
 
-    The family is the image of a two-column slice of a multiset family
-    under the fold that lays column i top-down onto {1..k} and column j
-    bottom-up onto {k+1..2k}. Starts are kept deduplicated and ascending.
+    The family models a two-column slice under the fold that lays column i
+    top-down onto {1..k} and column j bottom-up onto {k+1..2k}; the interval
+    lemma is checked on it, while :func:`psi` writes the centered values of
+    :func:`_block` directly. Starts are kept deduplicated and ascending.
     """
 
     k: int
@@ -83,16 +95,15 @@ class IntervalFamily:
 def phi_center(fam: IntervalFamily) -> IntervalFamily:
     """Push an interval family to the middle of {1, ..., 2k}.
 
-    The image depends only on the count r and common length p: it is the r
+    The image depends only on the count r and common length p: it lays the
+    centered values x of :func:`_block` (p, r) at starts k - x + 1, the r
     consecutive p-intervals whose union is the centered interval of size
     p+r-1, i.e. {k - ceil(w/2) + 1, ..., k + floor(w/2)} for w = p+r-1.
     On a complete block (all p-subintervals of some Y) this centers Y; it
     is idempotent, and a centered family comes back unchanged.
     """
-    r = len(fam.starts)
-    width = fam.p + r - 1
-    start = fam.k - (width + 1) // 2 + 1
-    return IntervalFamily(fam.k, fam.p, tuple(range(start, start + r)))
+    starts = tuple(fam.k - x + 1 for x in _block(fam.p, len(fam)))
+    return IntervalFamily(fam.k, fam.p, starts)
 
 
 def interval_distance(fam1: IntervalFamily, fam2: IntervalFamily) -> int:
@@ -144,9 +155,8 @@ def psi(family: Family, i: int, j: int) -> Family:
 
     A slice is the set of members that agree outside columns i and j; its
     members share s = m(i,F) + m(j,F), so each slice is keyed on the member
-    vector with column j folded into column i. Each slice is laid on the
-    line {1, ..., 2k} (column i top-down onto {1..k}, column j bottom-up
-    onto {k+1..2k}), centered with :func:`phi_center`, and folded back.
+    vector with column j folded into column i. The centered slice depends
+    only on s and its size r: its m(i) values are :func:`_block` (s, r).
     Member count is preserved slice by slice, and so is t-intersection;
     ties in balance land on column i.
 
@@ -179,32 +189,25 @@ def psi(family: Family, i: int, j: int) -> Family:
     _check_columns(family.n, i, j)
     if _centered(family, i, j):
         return family
-    k = family.k
     a, b = i - 1, j - 1
-    slices: dict[tuple[int, ...], list[int]] = {}
+    slices: Counter[tuple[int, ...]] = Counter()
     for vec in family.mult_vectors():
         key = list(vec)
         key[a] += key[b]
         key[b] = 0
-        slices.setdefault(tuple(key), []).append(vec[a])
+        slices[tuple(key)] += 1
     new_members = []
-    for key, column_i in slices.items():
+    for key, r in slices.items():
         s = key[a]
-        if s == 0:
-            # both columns empty on this slice; nothing to balance
-            new_members.append(key)
-            continue
-        folded = IntervalFamily(k, s, tuple(k - mi + 1 for mi in column_i))
-        for start in phi_center(folded).starts:
+        for x in _block(s, r):
             vec = list(key)
-            vec[a] = k - start + 1
-            vec[b] = s - vec[a]
+            vec[a], vec[b] = x, s - x
             new_members.append(tuple(vec))
     if len(new_members) != len(family):
         raise CertificationError(
             f"psi({i}, {j}) produced {len(new_members)} members from {len(family)}"
         )
-    out = family.with_members(new_members)
+    out = Family(new_members, n=family.n, k=family.k)
     if out == family:
         raise CertificationError(
             f"psi({i}, {j}) found an uncentered slice but moved no member"
@@ -324,7 +327,7 @@ def kernel_shift(family: Family, i: int, s: int, j: int) -> Family:
         return family
     if len(set(out)) != len(out):
         raise CertificationError("kernel_shift produced a collision")
-    return family.with_members(out)
+    return Family(out, n=family.n, k=family.k)
 
 
 def reduce_kernel(

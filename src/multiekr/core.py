@@ -313,15 +313,9 @@ class Family:
         """Largest multiplicity over all members and columns; 0 if empty."""
         return max(map(max, self._vectors), default=0)
 
-    def with_members(
-        self, members: Iterable[Union[Multiset, Sequence[int]]]
-    ) -> "Family":
-        """Same (n, k), different member list."""
-        return Family(members, n=self.n, k=self.k)
-
     # --- interchange format ------------------------------------------------
     # header line "n=<n> k=<k>", then one member per line as comma-separated
-    # multiplicities, in canonical order.
+    # multiplicities, in canonical order; a repeated member line is an error.
 
     def to_text(self) -> str:
         lines = [f"n={self.n} k={self.k}"]
@@ -337,13 +331,15 @@ class Family:
         if header is None:
             raise FormatError(f"bad header line: {lines[0]!r}")
         n, k = int(header.group(1)), int(header.group(2))
-        members = []
+        members = set()
         for ln in lines[1:]:
             try:
                 vec = tuple(int(part) for part in ln.split(","))
             except ValueError as exc:
                 raise FormatError(f"bad member line: {ln!r}") from exc
-            members.append(vec)
+            if vec in members:
+                raise FormatError(f"repeated member line: {ln!r}")
+            members.add(vec)
         return cls(members, n=n, k=k)
 
     def save(self, path: str) -> None:

@@ -13,15 +13,16 @@ permutation maps onto itself also prunes by symmetry: a column permutation
 preserves sums of minima, so it is an automorphism of the t-intersection
 graph, and the search explores one vertex per orbit at depths 0 and 1
 (orbital branching, Ostrowski et al. 2011; isomorphism pruning, Margot
-2002). Every other search runs unchanged.
+2002). ``column_orbits`` checks that closure while it numbers the root
+orbits. Every other search runs unchanged.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import comb
+from math import factorial, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import _kernels_py
 from ._kernels_py import (  # noqa: F401 (re-exported: the only copies)
@@ -37,48 +38,34 @@ try:
 except ImportError:
     branch_and_bound = _kernels_py.branch_and_bound
 
-BACKEND: str = (
-    "python" if branch_and_bound is _kernels_py.branch_and_bound else "compiled"
-)
-
-
-def column_closed(vectors: list[tuple[int, ...]]) -> bool:
-    """True when every column permutation maps the vector list onto itself.
-
-    O(N): the vectors are distinct, and each shape (sorted multiplicity
-    vector) occurs exactly as often as it has distinct arrangements.
-    """
-    if len(set(vectors)) != len(vectors):
-        return False
-    for shape, count in Counter(tuple(sorted(v)) for v in vectors).items():
-        arrangements, left = 1, len(shape)
-        for same in Counter(shape).values():
-            arrangements *= comb(left, same)
-            left -= same
-        if count != arrangements:
-            return False
-    return True
-
 
 def column_orbits(
     vectors: list[tuple[int, ...]],
-) -> Callable[[tuple[int, ...]], Sequence[int]]:
+) -> Optional[Callable[[tuple[int, ...]], Sequence[int]]]:
     """Orbit ids under the column permutations that fix given vertices.
 
-    ``orbits(())`` numbers the shapes (sorted vectors) by first appearance:
-    every column permutation preserves a shape, and on a column-closed list
-    any two vectors of one shape are a permutation apart. ``orbits((v,))``
-    numbers, also by first appearance, the orbits of the permutations that
-    fix v, which are those that keep each class of equal entries of v. One maps w to w' exactly when w
-    and w' have the same shape and the same multiset of values on every
-    class where v is nonzero; the zero class follows from the shape. Valid
-    only for a column-closed list, which every such permutation maps onto
-    itself. The shapes are numbered once; a call below the root is
-    O(N·|supp v|). Deeper calls raise ValueError: the search prunes orbits
-    at depths 0 and 1 only.
+    Returns None unless every column permutation maps the list onto itself:
+    the vectors are distinct and each shape (sorted vector) occurs as often
+    as it has arrangements, checked in the O(N) pass that numbers the
+    shapes. ``orbits(())`` numbers the shapes by first appearance: every
+    column permutation preserves a shape, and on a closed list any two
+    vectors of one shape are a permutation apart. ``orbits((v,))`` numbers,
+    also by first appearance, the orbits of the permutations that fix v,
+    which are those that keep each class of equal entries of v. One maps w
+    to w' exactly when w and w' have the same shape and the same multiset of
+    values on every class where v is nonzero; the zero class follows from
+    the shape. A call below the root is O(N·|supp v|). Deeper calls raise
+    ValueError: the search prunes orbits at depths 0 and 1 only.
     """
     shapes: dict[tuple[int, ...], int] = {}
     root = tuple(shapes.setdefault(tuple(sorted(w)), len(shapes)) for w in vectors)
+    if len(set(vectors)) != len(vectors):
+        return None
+    counts = Counter(root)
+    for shape, sid in shapes.items():
+        same = map(factorial, Counter(shape).values())
+        if counts[sid] != factorial(len(shape)) // prod(same):
+            return None
 
     def orbits(fixed: tuple[int, ...]) -> Sequence[int]:
         if not fixed:
@@ -112,10 +99,11 @@ def max_t_clique(
     Builds the adjacency and runs the active backend's branch and bound.
     ``stop_at`` > 0 halts as soon as the incumbent reaches that size;
     ``lower_bound`` seeds the incumbent size without a witness. When
-    ``lower_bound`` > 0 and the list is closed under column permutations,
-    the search prunes column-permutation orbits at depths 0 and 1: the size
-    is the same, the node count smaller, and a witness (found only when the
-    maximum exceeds ``lower_bound``) may differ from the plain search's.
+    ``lower_bound`` > 0 and :func:`column_orbits` finds the list closed
+    under column permutations, the search prunes their orbits at depths 0
+    and 1: the size is the same, the node count smaller, and a witness
+    (found only when the maximum exceeds ``lower_bound``) may differ from
+    the plain search's.
 
     Returns (best_size, witness_indices, nodes). Raises BudgetError when
     more than ``node_budget`` tree nodes would be expanded.
@@ -123,12 +111,11 @@ def max_t_clique(
     if not vectors:
         return 0, [], 0
     adj = _kernels_py.adjacency_bitsets(vectors, k, t)
-    orbits = None
-    if lower_bound > 0 and column_closed(vectors):
-        orbits = column_orbits(vectors)
+    orbits = column_orbits(vectors) if lower_bound > 0 else None
     return branch_and_bound(adj, node_budget, stop_at, lower_bound, orbits)
 
 
 def backend_name() -> str:
     """Which branch and bound is active: "compiled" or "python"."""
-    return BACKEND
+    pure = branch_and_bound is _kernels_py.branch_and_bound
+    return "python" if pure else "compiled"

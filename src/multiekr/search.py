@@ -54,16 +54,7 @@ class SearchResult:
     nodes_explored: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "t": self.t,
-            "cap": self.cap,
-            "max_size": self.max_size,
-            "method": self.method,
-            "nodes_explored": self.nodes_explored,
-            "witness": [list(vec) for vec in self.witness.mult_vectors()],
-        }
+        return {**vars(self), "witness": self.witness.mult_vectors()}
 
 
 def _oracle_max_clique(
@@ -377,17 +368,8 @@ class VerifyReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "t": self.t,
-            "max_size": self.max_size,
-            "bound": self.bound,
-            "sharp": self.sharp,
-            "compressed_stable": self.compressed_stable,
-            "method": self.method,
-            "nodes_explored": self.nodes_explored,
-        }
+        """Every field but the witness."""
+        return {key: value for key, value in vars(self).items() if key != "witness"}
 
 
 def verify_theorem(

@@ -123,6 +123,13 @@ class TestCompress:
         code, _, err = run(capsys, "compress", "--t", "1", "--in", str(in_path))
         assert code == EXIT_USAGE and "not t-intersecting" in err
 
+    def test_repeated_member_is_usage_error(self, capsys, tmp_path):
+        in_path = tmp_path / "repeated.txt"
+        in_path.write_text("n=3 k=2\n1,1,0\n1,1,0\n2,0,0\n1,0,1\n")
+        code, out, err = run(capsys, "compress", "--t", "1", "--in", str(in_path))
+        assert code == EXIT_USAGE and out == ""
+        assert "repeated member line: '1,1,0'" in err
+
 
 class TestSearch:
     def test_json_results_and_witness(self, capsys, tmp_path):
@@ -211,6 +218,16 @@ class TestTable:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("subcommand", ["bound", "search", "verify"])
+    def test_grid_without_points(self, subcommand, capsys):
+        # t > k at every point: nothing would be computed, so nothing is
+        # reported as sharp or as a result
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--n", "3", "--k", "2", "--t", "5"])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "no grid point" in err
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -175,23 +175,22 @@ class TestPsi:
 
     def test_certificate_survives_optimize_flag(self):
         # psi's size certificate must fire even where asserts are stripped:
-        # a centering that loses an interval has to raise, not shrink
+        # a centering that loses a value has to raise, not shrink
         fam = Family(MOVING)
         assert psi(fam, 1, 2) != fam  # so the patched centering is consulted
         run_optimized("""
-            real = compression.phi_center
-            compression.phi_center = lambda fam: compression.IntervalFamily(
-                fam.k, fam.p, real(fam).starts[1:]
-            )
+            real = compression._block
+            compression._block = lambda s, r: real(s, r)[1:]
         """)
 
     def test_stuck_certificate_survives_optimize_flag(self):
         # a slice the closure test finds uncentered must move: a centering
-        # that returns its input has to raise, not hand back an equal copy
+        # that returns the slice's own values has to raise, not hand back an
+        # equal copy
         fam = Family(MOVING)
         assert psi(fam, 1, 2) != fam
         run_optimized("""
-            compression.phi_center = lambda fam: fam
+            compression._block = lambda s, r: (0, 2)
         """)
 
     def test_size_always_preserved(self, small_corpus):
@@ -226,16 +225,17 @@ class TestPsi:
                 assert before == after
 
     def test_balanced_cap_formula(self):
-        # the centered slice with r members of track length s tops out at
-        # ceil((s + r - 1) / 2) in the first-named column
+        # the centered slice with r members of track length s is the block
+        # of r consecutive values topping out at ceil((s + r - 1) / 2) in the
+        # first-named column
         for s in range(1, 7):
             for r in range(1, s + 2):
                 mi_values = sorted(random.Random(s * 10 + r).sample(range(s + 1), r))
                 members = [(mi, s - mi) for mi in mi_values]
                 fam = Family(members, n=2, k=s)
                 out = psi(fam, 1, 2)
-                top = max(m.mult[0] for m in out)
-                assert top == (s + r) // 2
+                top = (s + r) // 2
+                assert [m.mult[0] for m in out] == list(range(top - r + 1, top + 1))
 
     def test_fold_is_intersection_faithful_on_slices(self, small_corpus):
         # within one slice, interval overlap equals the two-column part of

@@ -236,6 +236,11 @@ class TestFamily:
         with pytest.raises(FormatError):
             Family.from_text("n=2 k=2\n1,x")
 
+    def test_repeated_member_line_rejected(self):
+        # the file would otherwise load with fewer members than lines
+        with pytest.raises(FormatError, match="repeated member line: '1, 1,0'"):
+            Family.from_text("n=3 k=2\n1,1,0\n2,0,0\n1, 1,0\n1,0,1\n")
+
 
 class TestPredicates:
     def test_t_intersecting_examples(self):

@@ -241,20 +241,21 @@ class TestOrbitPruning:
     def test_unguarded_shape_pruning_would_be_wrong(self):
         # why the guard matters: shape orbits on this list lose the answer
         adj = pure.adjacency_bitsets(self.UNCLOSED, 3, 2)
-        shapes = kernels.column_orbits(self.UNCLOSED)
-        assert pure.branch_and_bound(adj, 1000, 0, 2, shapes)[0] == 2
+        ids: dict = {}
+        shapes = [ids.setdefault(tuple(sorted(v)), len(ids)) for v in self.UNCLOSED]
+        assert pure.branch_and_bound(adj, 1000, 0, 2, lambda fixed: shapes)[0] == 2
 
     def test_closure_check(self):
         for n in range(1, 6):
             for k in range(1, 5):
                 for cap in (None, 1, 2):
                     vecs = list(multiset_vectors(n, k, cap))
-                    assert kernels.column_closed(vecs), (n, k, cap)
-        assert not kernels.column_closed(self.UNCLOSED)
+                    assert kernels.column_orbits(vecs) is not None, (n, k, cap)
+        assert kernels.column_orbits(self.UNCLOSED) is None
         vecs = list(multiset_vectors(4, 3))
         for i in range(len(vecs)):
-            assert not kernels.column_closed(vecs[:i] + vecs[i + 1:]), vecs[i]
-        assert not kernels.column_closed(vecs + vecs[:1])
+            assert kernels.column_orbits(vecs[:i] + vecs[i + 1:]) is None, vecs[i]
+        assert kernels.column_orbits(vecs + vecs[:1]) is None
 
     def test_orbit_ids(self):
         vecs = list(multiset_vectors(4, 3))
