@@ -49,11 +49,11 @@ def staircase_mask(vec: Sequence[int], k: int) -> int:
 def all_pairs_at_least(
     vectors: list[tuple[int, ...]], k: int, t: int
 ) -> bool:
-    """min over unordered distinct pairs of |Fi cap Fj| >= t."""
+    """min over pairs (diagonal included) of |Fi cap Fj| >= t."""
     masks = [staircase_mask(v, k) for v in vectors]
     for i in range(len(masks)):
         mi = masks[i]
-        for j in range(i + 1, len(masks)):
+        for j in range(i, len(masks)):
             if (mi & masks[j]).bit_count() < t:
                 return False
     return True

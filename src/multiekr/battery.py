@@ -15,6 +15,7 @@ from typing import Iterator, NamedTuple
 from . import corpus as corpus_mod
 from .bounds import (
     ak_family_size,
+    in_window_domain,
     mp_threshold,
     multiset_bound,
     multiset_bound_proven,
@@ -42,8 +43,6 @@ from .core import (
     rectangle,
 )
 from .search import (
-    DEFAULT_NODE_BUDGET,
-    DEFAULT_VERTEX_BUDGET,
     build_ak_set_family,
     build_kernel_family,
     lift_to_sets,
@@ -138,11 +137,7 @@ def _sharpness_grid(limit: int) -> list[tuple[int, int, int]]:
     return sorted(set(instances))
 
 
-def sharpness(
-    quick: bool = False,
-    budget_vertices: int = DEFAULT_VERTEX_BUDGET,
-    budget_nodes: int = DEFAULT_NODE_BUDGET,
-) -> Iterator[Row]:
+def sharpness(quick: bool = False) -> Iterator[Row]:
     """Criterion 3: max |F| = AK(n+k-1, k, t), exhaustively.
 
     The independent oracle (pivoted Bron–Kerbosch, no size bound and no
@@ -154,19 +149,10 @@ def sharpness(
     for n, k, t in _sharpness_grid(limit):
         params = f"n={n};k={k};t={t}"
         bound = multiset_bound(n, k, t)
-        result = max_t_intersecting(
-            n, k, t, budget_vertices=budget_vertices, budget_nodes=budget_nodes
-        )
+        result = max_t_intersecting(n, k, t)
         yield Row("sharpness", params, bound, result.max_size)
         if not quick and count_multisets(n, k) <= ORACLE_LIMIT:
-            oracle = max_t_intersecting(
-                n,
-                k,
-                t,
-                budget_vertices=budget_vertices,
-                budget_nodes=budget_nodes,
-                method="oracle",
-            )
+            oracle = max_t_intersecting(n, k, t, method="oracle")
             yield Row("sharpness_oracle", params, bound, oracle.max_size)
 
 
@@ -230,7 +216,7 @@ def algebra() -> Iterator[Row]:
         for k in range(1, min(n, 6) + 1):
             for t in range(0, k + 1):
                 i = 0
-                while t + 2 * i <= n and t + i <= k:
+                while in_window_domain(n, k, t, i):
                     if ak_family_size(n, k, t, i) != len(build_ak_set_family(n, k, t, i)):
                         mismatches += 1
                     i += 1
@@ -295,8 +281,6 @@ def rows(
     quick: bool = False,
     corpus_size: int = CORPUS_SIZE,
     seed: int = corpus_mod.DEFAULT_SEED,
-    budget_vertices: int = DEFAULT_VERTEX_BUDGET,
-    budget_nodes: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[Row]:
     """Every criterion in table order; ``quick`` also caps the corpus size."""
     if quick:
@@ -307,6 +291,6 @@ def rows(
         kernel_family(),
         algebra(),
         interval_lemma(),
-        sharpness(quick, budget_vertices, budget_nodes),
+        sharpness(quick),
         corpus(corpus_size, seed),
     )

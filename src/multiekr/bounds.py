@@ -11,6 +11,10 @@ which is the exact maximum size of a t-intersecting family of k-subsets of
 [n]. A t-intersecting family of k-multisets of [n] is bounded by the same
 function on the lifted ground set of n+k-1 points, which is what
 :func:`multiset_bound` evaluates.
+
+The parameter rules live here once each, as a predicate and a check that
+raises: the (n, k, t) domain, the compression range n >= 2k-t, and the
+window domain of A(n, k, t, i). The other modules read them from here.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
-from .errors import ParameterError
+from .errors import ParameterError, PreconditionError
 
 BOUND_CSV_HEADER = "n,k,t,star,ak_set,i_star"
 
@@ -31,6 +35,42 @@ class AKValue(NamedTuple):
     i_star: int
 
 
+def in_domain(n: int, k: int, t: int) -> bool:
+    """1 <= t <= k and n >= 1: the domain of the bounds, searches and operators."""
+    return 1 <= t <= k and n >= 1
+
+
+def check_domain(n: int, k: int, t: int) -> None:
+    """Raise ParameterError outside :func:`in_domain`."""
+    if not in_domain(n, k, t):
+        raise ParameterError(f"need 1 <= t <= k and n >= 1, got {(n, k, t)}")
+
+
+def in_compression_range(n: int, k: int, t: int) -> bool:
+    """n >= 2k-t: the compression theorem's range, the proof route to AK."""
+    return n >= 2 * k - t
+
+
+def check_compression_range(n: int, k: int, t: int, caller: str) -> None:
+    """Raise PreconditionError, naming ``caller``, outside the compression range."""
+    if not in_compression_range(n, k, t):
+        raise PreconditionError(f"{caller} needs n >= 2k - t; got n={n}, k={k}, t={t}")
+
+
+def in_window_domain(n: int, k: int, t: int, i: int) -> bool:
+    """Whether A(n, k, t, i) is defined: 0 <= t <= k <= n, i >= 0,
+    t+2i <= n and t+i <= k."""
+    return 0 <= t <= k <= n and i >= 0 and t + 2 * i <= n and t + i <= k
+
+
+def check_window_domain(n: int, k: int, t: int, i: int) -> None:
+    """Raise ParameterError outside :func:`in_window_domain`."""
+    if not in_window_domain(n, k, t, i):
+        raise ParameterError(
+            f"need 0 <= t <= k <= n, i >= 0, t+2i <= n, t+i <= k; got {(n, k, t, i)}"
+        )
+
+
 def ak_family_size(n: int, k: int, t: int, i: int) -> int:
     """|A(n, k, t, i)| by closed summation.
 
@@ -38,12 +78,7 @@ def ak_family_size(n: int, k: int, t: int, i: int) -> int:
     sum over j >= t+i of C(t+2i, j) * C(n-t-2i, k-j). The sum is gated on
     an exhaustive-enumeration oracle in the test suite before use.
     """
-    if not 0 <= t <= k <= n:
-        raise ParameterError(f"need 0 <= t <= k <= n, got {(n, k, t)}")
-    if i < 0:
-        raise ParameterError("need i >= 0")
-    if t + 2 * i > n:
-        raise ParameterError(f"window t+2i={t + 2 * i} exceeds n={n}")
+    check_window_domain(n, k, t, i)
     window = t + 2 * i
     total = 0
     for j in range(t + i, min(window, k) + 1):
@@ -52,15 +87,10 @@ def ak_family_size(n: int, k: int, t: int, i: int) -> int:
 
 
 def _windows(n: int, k: int, t: int) -> list[tuple[int, int]]:
-    """(i, |A(n, k, t, i)|) for every i >= 0 with t+2i <= n and t+i <= k."""
-    if not 1 <= t <= k <= n:
-        raise ParameterError(f"need 1 <= t <= k <= n, got {(n, k, t)}")
-    per_i = []
-    i = 0
-    while t + 2 * i <= n and t + i <= k:
-        per_i.append((i, ak_family_size(n, k, t, i)))
-        i += 1
-    return per_i
+    """(i, |A(n, k, t, i)|) for each i in the window domain, a prefix of 0..k-t."""
+    check_window_domain(n, k, t, 0)
+    return [(i, ak_family_size(n, k, t, i))
+            for i in range(k - t + 1) if in_window_domain(n, k, t, i)]
 
 
 def _first_max(per_i: list[tuple[int, int]]) -> AKValue:
@@ -80,10 +110,7 @@ def ak(n: int, k: int, t: int) -> AKValue:
 
 def star_bound(n: int, k: int, t: int) -> int:
     """Size of a star: all k-multisets of [n] over one fixed t-multiset."""
-    if not 1 <= t <= k:
-        raise ParameterError(f"need 1 <= t <= k, got {(k, t)}")
-    if n < 1:
-        raise ParameterError("need n >= 1")
+    check_domain(n, k, t)
     return comb(n + k - t - 1, k - t)
 
 
@@ -94,16 +121,15 @@ def multiset_bound(n: int, k: int, t: int) -> int:
     is still computed, and :func:`multiset_bound_proven` (or the ``proven``
     field of :func:`bound_report`) flags it as conjectural territory.
     """
-    if not 1 <= t <= k:
-        raise ParameterError(f"need 1 <= t <= k, got {(k, t)}")
-    if n < 1:
-        raise ParameterError("need n >= 1")
+    check_domain(n, k, t)
     return ak(n + k - 1, k, t).value
 
 
 def multiset_bound_proven(n: int, k: int, t: int) -> bool:
-    """Whether multiset_bound(n, k, t) is a proven bound (n >= 2k-t)."""
-    return n >= 2 * k - t
+    """Whether multiset_bound(n, k, t) is a proven bound: n >= 2k-t, the
+    compression range."""
+    check_domain(n, k, t)
+    return in_compression_range(n, k, t)
 
 
 def mp_threshold(n: int, k: int, t: int) -> bool:
@@ -112,8 +138,7 @@ def mp_threshold(n: int, k: int, t: int) -> bool:
     On the lifted ground set this is the set-family threshold
     n+k-1 >= (t+1)(k-t+1), since (t+1)(k-t+1) - (k-1) = t(k-t)+2.
     """
-    if not 1 <= t <= k:
-        raise ParameterError(f"need 1 <= t <= k, got {(k, t)}")
+    check_domain(n, k, t)
     return n >= t * (k - t) + 2
 
 

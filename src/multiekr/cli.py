@@ -77,8 +77,7 @@ def _emit(out_path: Optional[str], text: str) -> None:
 
 def _grid(args: argparse.Namespace) -> list[tuple[int, int, int]]:
     """The grid points with 1 <= t <= k and n >= 1; having none is a usage error."""
-    points = [(n, k, t) for n, k, t in product(args.n, args.k, args.t)
-              if 1 <= t <= k and n >= 1]
+    points = [p for p in product(args.n, args.k, args.t) if bounds_mod.in_domain(*p)]
     if not points:
         raise argparse.ArgumentTypeError("no grid point has 1 <= t <= k and n >= 1")
     return points
@@ -169,13 +168,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     rows = list(
-        battery.rows(
-            quick=args.quick,
-            corpus_size=args.corpus_size,
-            seed=args.seed,
-            budget_vertices=args.budget_vertices,
-            budget_nodes=args.budget_nodes,
-        )
+        battery.rows(quick=args.quick, corpus_size=args.corpus_size, seed=args.seed)
     )
     _emit(args.out, "\n".join([battery.HEADER, *(r.csv() for r in rows)]) + "\n")
     failures = [row for row in rows if not row.ok]
@@ -273,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = command(
         "table", _cmd_table, "run the acceptance battery; exits 1 on any failure")
-    add_budgets(p_table)
     p_table.add_argument("--seed", type=int, default=DEFAULT_SEED,
                          help="seed of the random family corpus (fixed default)")
     add_out(p_table)

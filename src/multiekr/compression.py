@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
+from .bounds import check_compression_range, check_domain
 from .core import Family, Multiset, first_row, is_t_intersecting, is_t_kernel
 from .errors import (
     CertificationError,
@@ -256,23 +257,22 @@ def down_compress(
     The pairs are tried in order and the sweep restarts from (1, 2) after
     every change.
 
-    Requires a t-intersecting input with n >= 2k - t (the first-row kernel
-    guarantee is not claimed below that, so the operation refuses rather
-    than silently weakening its contract). The fixed point has the same
-    size, no larger maximum height, and the first row as a t-kernel.
+    Requires 1 <= t <= k and a t-intersecting input with n >= 2k - t (the
+    first-row kernel guarantee is not claimed below that, so the operation
+    refuses rather than silently weakening its contract). The fixed point
+    has the same size, no larger maximum height, and the first row as a
+    t-kernel; an empty family returns at once.
 
     ``on_step`` receives a :class:`CompressionStep` after every psi
     application that changed the family.
     """
-    if t < 1:
-        raise ParameterError("need t >= 1")
     n, k = family.n, family.k
-    if n < 2 * k - t:
-        raise PreconditionError(
-            f"down_compress needs n >= 2k - t; got n={n}, k={k}, t={t}"
-        )
+    check_domain(n, k, t)
+    check_compression_range(n, k, t, "down_compress")
     if not is_t_intersecting(family, t):
         raise PreconditionError("input family is not t-intersecting")
+    if not len(family):
+        return family
     row = first_row(n)
     current = family
     step = 0
@@ -345,10 +345,8 @@ def reduce_kernel(
     if region.n != family.n:
         raise DimensionError("kernel region lives on a different ground set")
     n, k = family.n, family.k
-    if n < 2 * k - t:
-        raise PreconditionError(
-            f"reduce_kernel needs n >= 2k - t; got n={n}, k={k}, t={t}"
-        )
+    check_domain(n, k, t)
+    check_compression_range(n, k, t, "reduce_kernel")
     if any(v < 1 for v in region.mult):
         raise PreconditionError("kernel region must contain the whole first row")
     if not is_t_kernel(family, region, t):

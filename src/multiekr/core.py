@@ -24,6 +24,7 @@ and operators, and iterating a family yields :class:`Multiset` views.
 from __future__ import annotations
 
 import re
+from math import comb
 from operator import index
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -144,13 +145,7 @@ def multiset_vectors(
     only the vectors are read; :func:`enumerate_multisets` wraps each one as
     a validated :class:`Multiset` for callers that want the members.
     """
-    if n < 1:
-        raise ParameterError("need n >= 1")
-    if k < 0:
-        raise ParameterError("need k >= 0")
-    if cap is not None and cap < 1:
-        raise ParameterError("cap must be >= 1 when given")
-    top = k if cap is None else min(cap, k)
+    top = _height(n, k, cap)
     if k > top * n:
         return
     # the smallest vector packs the mass to the right, at most top per column
@@ -205,24 +200,28 @@ def _pack_right(vec: list[int], mass: int, top: int) -> None:
         vec[n - full - 1] = rest
 
 
-def count_multisets(n: int, k: int, cap: Optional[int] = None) -> int:
-    """Number of k-multisets of [n], honoring an optional height cap."""
-    if n < 1 or k < 0:
-        raise ParameterError("need n >= 1 and k >= 0")
+def _height(n: int, k: int, cap: Optional[int]) -> int:
+    """Validate n, k and cap; return the largest multiplicity a member has."""
+    if n < 1:
+        raise ParameterError("need n >= 1")
+    if k < 0:
+        raise ParameterError("need k >= 0")
     if cap is not None and cap < 1:
         raise ParameterError("cap must be >= 1 when given")
-    top = k if cap is None else min(cap, k)
-    # counts[r] = number of ways to reach total r with columns seen so far
-    counts = [0] * (k + 1)
-    counts[0] = 1
-    for _ in range(n):
-        new = [0] * (k + 1)
-        for r, c in enumerate(counts):
-            if c:
-                for v in range(0, min(top, k - r) + 1):
-                    new[r + v] += c
-        counts = new
-    return counts[k]
+    return k if cap is None else min(cap, k)
+
+
+def count_multisets(n: int, k: int, cap: Optional[int] = None) -> int:
+    """Number of k-multisets of [n], honoring an optional height cap.
+
+    Inclusion–exclusion over j columns above the height h, in O(k/(h+1))
+    terms: sum_j (-1)^j C(n, j) C(n+k-1-j(h+1), k-j(h+1)).
+    """
+    top = _height(n, k, cap)
+    return sum(
+        (-1) ** j * comb(n, j) * comb(n + k - 1 - j * (top + 1), k - j * (top + 1))
+        for j in range(min(n, k // (top + 1)) + 1)
+    )
 
 
 class Family:
@@ -349,21 +348,23 @@ class Family:
     @classmethod
     def load(cls, path: str) -> "Family":
         with open(path, "r", encoding="ascii") as fh:
-            return cls.from_text(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path} is not ASCII text: {exc}") from None
+        return cls.from_text(text)
 
 
 def is_t_intersecting(family: Family, t: int) -> bool:
     """True when |F1 cap F2| >= t for every ordered pair, F1 = F2 included.
 
-    The diagonal pairs force t <= k for nonempty families; the empty family
-    is vacuously t-intersecting and every family is 0-intersecting.
+    The diagonal pairs fail when t > k; the empty family is vacuously
+    t-intersecting and every family is 0-intersecting.
     """
     if t < 0:
         raise ParameterError("need t >= 0")
     if t == 0 or len(family) == 0:
         return True
-    if family.k < t:
-        return False
     return kernels.all_pairs_at_least(family.mult_vectors(), family.k, t)
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 
 from . import kernels
+from .bounds import check_domain, in_compression_range
 from .core import Family, multiset_vectors
-from .errors import ParameterError
 
 DEFAULT_SEED = 988
 
@@ -23,8 +23,7 @@ def random_maximal_family(
     n: int, k: int, t: int, rng: random.Random
 ) -> Family:
     """Greedy maximal t-intersecting family over a shuffled member order."""
-    if not 1 <= t <= k:
-        raise ParameterError(f"need 1 <= t <= k, got t={t}, k={k}")
+    check_domain(n, k, t)
     pool = list(multiset_vectors(n, k))
     rng.shuffle(pool)
     chosen: list[tuple[int, ...]] = []
@@ -42,7 +41,8 @@ def corpus_parameters(
         (n, k, t)
         for k in range(1, k_max + 1)
         for t in range(1, k + 1)
-        for n in range(max(1, 2 * k - t), n_max + 1)
+        for n in range(1, n_max + 1)
+        if in_compression_range(n, k, t)
     ]
     return rng.choice(grid)
 

@@ -17,7 +17,14 @@ from math import comb
 from typing import Optional
 
 from . import kernels
-from .bounds import multiset_bound, multiset_bound_proven, ak
+from .bounds import (
+    ak,
+    check_compression_range,
+    check_domain,
+    check_window_domain,
+    multiset_bound,
+    multiset_bound_proven,
+)
 from .compression import down_compress, is_stable
 from .core import (
     Family,
@@ -133,17 +140,15 @@ def max_t_intersecting(
 ) -> SearchResult:
     """Exact maximum size of a t-intersecting family of k-multisets of [n].
 
-    ``method`` selects the engine: "pruned" is the branch-and-bound with
-    candidate-count and coloring bounds (plus, for n >= 2k-t, early stop at
-    the proven AK bound, which cannot change the exact result); "oracle" is
-    the independent cross-check, the largest maximal clique by pivoted
-    Bron–Kerbosch. Budgets are hard: exceeding the vertex or node budget
-    raises BudgetError rather than degrading.
+    Needs 1 <= t <= k and n >= 1. ``method`` selects the engine: "pruned"
+    is the branch-and-bound with candidate-count and coloring bounds (plus,
+    where multiset_bound_proven holds, early stop at the proven AK bound,
+    which cannot change the exact result); "oracle" is the independent
+    cross-check, the largest maximal clique by pivoted Bron–Kerbosch.
+    Budgets are hard: exceeding the vertex or node budget raises
+    BudgetError rather than degrading.
     """
-    if not 1 <= t <= k:
-        raise ParameterError(f"need 1 <= t <= k, got t={t}, k={k}")
-    if n < 1:
-        raise ParameterError("need n >= 1")
+    check_domain(n, k, t)
     if method not in ("pruned", "oracle"):
         raise ParameterError(f"unknown method {method!r}")
     n_vertices = count_multisets(n, k, cap)
@@ -238,21 +243,18 @@ class SetFamily:
     def is_t_intersecting(self, t: int) -> bool:
         """True when every pair of members, a member with itself included,
         shares at least t points: each k-subset goes through the multiset
-        pair check as a 0/1 vector, and the diagonal pairs ask for k >= t."""
+        pair check as a 0/1 vector."""
         if not self.members:
             return True
         ground = range(1, self.n_ground + 1)
         vectors = [tuple(int(x in m) for x in ground) for m in map(set, self.members)]
         k = len(self.members[0])
-        return k >= t and kernels.all_pairs_at_least(vectors, k, t)
+        return kernels.all_pairs_at_least(vectors, k, t)
 
 
 def build_ak_set_family(n_ground: int, k: int, t: int, i: int) -> SetFamily:
     """A(n_ground, k, t, i) by direct enumeration of k-subsets."""
-    if not 0 <= t <= k <= n_ground:
-        raise ParameterError(f"need 0 <= t <= k <= N, got {(n_ground, k, t)}")
-    if i < 0 or t + 2 * i > n_ground or t + i > k:
-        raise ParameterError(f"index i={i} out of range for {(n_ground, k, t)}")
+    check_window_domain(n_ground, k, t, i)
     window = t + 2 * i
     need = t + i
     members = [
@@ -269,24 +271,18 @@ def build_optimal_multiset_family(n: int, k: int, t: int) -> Family:
     Realized as a support threshold: take every k-multiset whose support
     meets the first t + 2*i_star columns in at least t + i_star places,
     where i_star is the maximizing index of the bound; that is the kernel
-    family of the 0/1 row over those columns at level t + i_star. The
-    result is certified at runtime — t-intersection is rechecked and the
-    size must equal multiset_bound(n, k, t); a CertificationError means the
-    realization is wrong at this instance, never that the bound is.
+    family of the 0/1 row over those columns at level t + i_star. Needs
+    1 <= t <= k and n >= 2k - t, so the window fits: t + 2*i_star <= 2k - t
+    as i_star <= k - t. The result is certified at runtime — t-intersection
+    is rechecked and the size must equal multiset_bound(n, k, t); a
+    CertificationError means the realization is wrong at this instance,
+    never that the bound is.
     """
-    if not 1 <= t <= k:
-        raise ParameterError(f"need 1 <= t <= k, got t={t}, k={k}")
-    if n < 2 * k - t:
-        raise PreconditionError(
-            f"construction needs n >= 2k - t; got n={n}, k={k}, t={t}"
-        )
+    check_domain(n, k, t)
+    check_compression_range(n, k, t, "build_optimal_multiset_family")
     value, i_star = ak(n + k - 1, k, t)
     window = t + 2 * i_star
     need = t + i_star
-    if window > n:
-        raise PreconditionError(
-            f"support window t + 2*i_star = {window} exceeds n = {n}"
-        )
     row = Multiset((1,) * window + (0,) * (n - window))
     family = build_kernel_family(n, k, row, need)
     if not is_t_intersecting(family, t):
@@ -387,8 +383,7 @@ def verify_theorem(
     patched. The report also notes whether the witness, after
     down-compression, satisfies the exchange-closure stability check.
     """
-    if not 1 <= t <= k:
-        raise ParameterError(f"need 1 <= t <= k, got t={t}, k={k}")
+    check_domain(n, k, t)
     if not multiset_bound_proven(n, k, t):
         raise PreconditionError(
             f"verify_theorem needs n >= 2k - t; got n={n}, k={k}, t={t}"

@@ -1,18 +1,28 @@
+import random
 from math import comb
 
 import pytest
 
 from multiekr import (
+    Family,
     ParameterError,
+    PreconditionError,
     ak,
     ak_family_size,
     bound_report,
     build_ak_set_family,
+    build_optimal_multiset_family,
+    down_compress,
+    max_t_intersecting,
     mp_threshold,
     multiset_bound,
     multiset_bound_proven,
+    rectangle,
+    reduce_kernel,
     star_bound,
+    verify_theorem,
 )
+from multiekr.corpus import random_maximal_family
 from multiekr.bounds import BOUND_CSV_HEADER
 
 
@@ -175,3 +185,72 @@ class TestBoundReport:
     def test_json_includes_per_i(self):
         data = bound_report(3, 2, 1).to_dict()
         assert "per_i" in data and "proven" in data
+
+
+def _family_entry(operator):
+    """Run a family operator on the empty family of (n, k); no family has
+    n = 0, so that point stops at the Family constructor's own n >= 1 rule."""
+    return lambda n, k, t: operator(Family.empty(n, k), n, k, t)
+
+
+DOMAIN_ENTRY_POINTS = {
+    "star_bound": star_bound,
+    "multiset_bound": multiset_bound,
+    "mp_threshold": mp_threshold,
+    "multiset_bound_proven": multiset_bound_proven,
+    "max_t_intersecting": max_t_intersecting,
+    "build_optimal_multiset_family": build_optimal_multiset_family,
+    "verify_theorem": verify_theorem,
+    "random_maximal_family": lambda n, k, t: random_maximal_family(
+        n, k, t, random.Random(0)
+    ),
+    "down_compress": _family_entry(lambda fam, n, k, t: down_compress(fam, t)),
+    "reduce_kernel": _family_entry(
+        lambda fam, n, k, t: reduce_kernel(fam, rectangle(n, k), t)
+    ),
+}
+
+COMPRESSION_RANGE_ENTRY_POINTS = {
+    name: DOMAIN_ENTRY_POINTS[name]
+    for name in ("build_optimal_multiset_family", "down_compress", "reduce_kernel")
+}
+
+
+class TestParameterRules:
+    @pytest.mark.parametrize("point", [(3, 2, 0), (3, 2, 3), (0, 2, 1)])
+    @pytest.mark.parametrize("name", sorted(DOMAIN_ENTRY_POINTS))
+    def test_domain_rejected_everywhere(self, name, point):
+        with pytest.raises(ParameterError):
+            DOMAIN_ENTRY_POINTS[name](*point)
+
+    @pytest.mark.parametrize("t", [0, 3])
+    def test_operators_check_t_on_any_family(self, t):
+        # t outside 1..k, on the empty family and on a 1-intersecting one
+        for fam in (Family.empty(4, 2), Family([(1, 1, 0, 0), (1, 0, 1, 0)])):
+            with pytest.raises(ParameterError):
+                down_compress(fam, t)
+            with pytest.raises(ParameterError):
+                reduce_kernel(fam, rectangle(4, 2), t)
+
+    @pytest.mark.parametrize("name", sorted(COMPRESSION_RANGE_ENTRY_POINTS))
+    def test_compression_range_names_its_caller(self, name):
+        with pytest.raises(PreconditionError, match=f"^{name} needs n >= 2k - t"):
+            COMPRESSION_RANGE_ENTRY_POINTS[name](4, 5, 3)
+
+    def test_window_builders_share_a_domain(self):
+        with pytest.raises(ParameterError):
+            ak_family_size(10, 3, 2, 2)  # t+i = 4 > k
+        with pytest.raises(ParameterError):
+            build_ak_set_family(10, 3, 2, 2)
+        for n in range(0, 6):
+            for k in range(-1, 5):
+                for t in range(-1, 5):
+                    for i in range(-1, 4):
+                        outcomes = []
+                        for build in (ak_family_size, build_ak_set_family):
+                            try:
+                                build(n, k, t, i)
+                                outcomes.append(True)
+                            except ParameterError:
+                                outcomes.append(False)
+                        assert outcomes[0] == outcomes[1], (n, k, t, i)

@@ -1,8 +1,11 @@
 import argparse
 import ast
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,8 @@ from multiekr.cli import (
 )
 from multiekr.errors import CertificationError
 from multiekr.search import build_kernel_family
+
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -130,6 +135,21 @@ class TestCompress:
         assert code == EXIT_USAGE and out == ""
         assert "repeated member line: '1,1,0'" in err
 
+    def test_non_ascii_file_is_usage_error(self, capsys, tmp_path):
+        in_path = tmp_path / "latin1.txt"
+        in_path.write_bytes(b"n=3 k=2\n1,1,0\xe9\n")
+        code, out, err = run(capsys, "compress", "--t", "1", "--in", str(in_path))
+        assert code == EXIT_USAGE and out == ""
+        assert "not ASCII text" in err and "Traceback" not in err
+
+    def test_empty_family_on_a_huge_ground_set(self, capsys, tmp_path):
+        # the first row of 10**20 columns is never built for an empty family
+        in_path = tmp_path / "empty.txt"
+        in_path.write_text("n=100000000000000000000 k=1\n")
+        code, out, err = run(capsys, "compress", "--t", "1", "--in", str(in_path))
+        assert code == EXIT_OK, err
+        assert out == "n=100000000000000000000 k=1\n"
+
 
 class TestSearch:
     def test_json_results_and_witness(self, capsys, tmp_path):
@@ -150,6 +170,19 @@ class TestSearch:
             "--budget-vertices", "50",
         )
         assert code == EXIT_BUDGET and "budget" in err
+
+    def test_huge_ground_set_refused_at_once(self):
+        # the vertex count is a closed sum, so the budget refusal comes first
+        argv = ["search", "--n", "30000000", "--k", "2", "--t", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "multiekr.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == EXIT_BUDGET, proc.stderr
+        assert "450000015000000 vertices" in proc.stderr
 
     def test_grid_output_deterministic(self, capsys):
         args = ("search", "--n", "3..5", "--k", "2..3", "--t", "1..2")
@@ -294,7 +327,7 @@ class TestUsage:
             "compress": {"--t", "--in", "--out", "--trace"},
             "search": {"--n", "--k", "--t", "--cap", "--out", "--witness"} | budgets,
             "verify": {"--n", "--k", "--t", "--format", "--out"} | budgets,
-            "table": {"--seed", "--out", "--quick", "--corpus-size"} | budgets,
+            "table": {"--seed", "--out", "--quick", "--corpus-size"},
         }
 
 
