@@ -11,10 +11,14 @@
    colour order, allocated the first time the search reaches that depth.
 
    Orbit pruning, when an ``orbits`` callable is given, also mirrors the
-   pure search: the callable returns one orbit id per vertex, for ``()`` at
-   the root and for ``(v,)`` once per root branch on v. Once the branch on
-   v at depth 0 or 1 is exhausted, every candidate with v's id at that
-   depth is cleared, and the colour order skips cleared vertices.
+   pure search, call for call: ``orbits(fixed, members)`` returns one orbit
+   id per member, for ``()`` with all vertices at the root and for ``(v,)``
+   with the depth-1 candidates once per root branch on v. The members are
+   read from the candidate words, and ids are stored at those vertices
+   only. Once the branch on v at depth 0 or 1 is exhausted, every candidate
+   with v's id at that depth is cleared, and the colour order skips cleared
+   vertices; the candidates at a depth are always a subset of the members
+   its ids were loaded for, so no stale id is read.
 
    Build: setup.py is the one recipe, an optional extension compiled with
    the interpreter's compiler and flags. ``pip install`` runs it, the test
@@ -53,7 +57,7 @@ typedef struct {
     Py_ssize_t best_size, best_len, stop_at;
     long long nodes, budget;
     PyObject *orbits;  /* the orbit-id callable, or NULL: no orbit pruning */
-    long *ids[2];      /* orbit id per vertex at depths 0 and 1 */
+    long *ids[2];      /* orbit ids at depths 0 and 1, set at the members */
 } Search;
 
 static int
@@ -72,33 +76,56 @@ reach(Search *s, Py_ssize_t depth)
     return 0;
 }
 
-/* Fill ids with orbits(fixed), one id per vertex; -1 with an exception set.
-   Steals the reference to fixed, which may be NULL after a failed build. */
+/* Call orbits(fixed, members) with the vertices of set, ascending, as the
+   members, and store each member's id at ids[member]; -1 with an exception
+   set. Steals the reference to fixed, which may be NULL after a failed
+   build. */
 static int
-load_orbits(Search *s, PyObject *fixed, long *ids)
+load_orbits(Search *s, PyObject *fixed, const u64 *set, long *ids)
 {
-    PyObject *got, *seq;
+    PyObject *members, *got = NULL, *seq;
+    Py_ssize_t count = 0, i, w;
     int rc = -1;
 
     if (fixed == NULL)
         return -1;
-    got = PyObject_CallOneArg(s->orbits, fixed);
+    for (w = 0; w < s->words; w++)
+        count += __builtin_popcountll(set[w]);
+    members = PyList_New(count);
+    if (members != NULL) {
+        i = 0;
+        for (w = 0; w < s->words; w++) {
+            for (u64 bits = set[w]; bits; bits &= bits - 1, i++) {
+                PyObject *vertex = PyLong_FromSsize_t(w * 64 + __builtin_ctzll(bits));
+                if (vertex == NULL)
+                    goto called;
+                PyList_SET_ITEM(members, i, vertex);
+            }
+        }
+        got = PyObject_CallFunctionObjArgs(s->orbits, fixed, members, NULL);
+    }
+called:
     Py_DECREF(fixed);
+    Py_XDECREF(members);
     if (got == NULL)
         return -1;
     seq = PySequence_Fast(got, "orbits() must return a sequence of ints");
     Py_DECREF(got);
     if (seq == NULL)
         return -1;
-    if (PySequence_Fast_GET_SIZE(seq) != s->nv) {
-        PyErr_SetString(PyExc_ValueError, "orbits() must return one id per vertex");
+    if (PySequence_Fast_GET_SIZE(seq) != count) {
+        PyErr_SetString(PyExc_ValueError, "orbits() must return one id per member");
         goto done;
     }
-    for (Py_ssize_t i = 0; i < s->nv; i++) {
-        long id = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
-        if (id == -1 && PyErr_Occurred())
-            goto done;
-        ids[i] = id;
+    /* the members are read again from set: the callable may change the list */
+    i = 0;
+    for (w = 0; w < s->words; w++) {
+        for (u64 bits = set[w]; bits; bits &= bits - 1, i++) {
+            long id = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
+            if (id == -1 && PyErr_Occurred())
+                goto done;
+            ids[w * 64 + __builtin_ctzll(bits)] = id;
+        }
     }
     rc = 0;
 done:
@@ -202,7 +229,7 @@ expand(Search *s, Py_ssize_t depth)
         s->cur[depth] = v;
         if (any) {
             if (ids != NULL && depth == 0
-                && load_orbits(s, Py_BuildValue("(i)", v), s->ids[1]) < 0)
+                && load_orbits(s, Py_BuildValue("(i)", v), sub, s->ids[1]) < 0)
                 return -1;
             if (expand(s, depth + 1) < 0)
                 return -1;
@@ -267,7 +294,8 @@ PyDoc_STRVAR(branch_and_bound_doc,
 "(best_size, sorted_witness, nodes); raises BudgetError when more than\n"
 "node_budget nodes would be expanded; stop_at > 0 halts once the incumbent\n"
 "reaches it; lower_bound seeds the incumbent size without a witness;\n"
-"orbits, a callable giving orbit ids, prunes orbits at depths 0 and 1.");
+"orbits, a callable orbits(fixed, members) giving one orbit id per member,\n"
+"prunes orbits at depths 0 and 1.");
 
 static PyObject *
 branch_and_bound(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -316,12 +344,12 @@ branch_and_bound(PyObject *self, PyObject *args, PyObject *kwargs)
             PyErr_NoMemory();
             goto done;
         }
-        if (load_orbits(&s, PyTuple_New(0), s.ids[0]) < 0)
-            goto done;
     }
     memset(s.frames[0].cand, 0, s.words * sizeof(u64));
     for (Py_ssize_t v = 0; v < s.nv; v++)
         s.frames[0].cand[v >> 6] |= BIT(v);
+    if (s.orbits != NULL && load_orbits(&s, PyTuple_New(0), s.frames[0].cand, s.ids[0]) < 0)
+        goto done;
     if (expand(&s, 0) < 0)
         goto done;
 

@@ -20,7 +20,8 @@ results and node counts match bit for bit.
 from __future__ import annotations
 
 import sys
-from itertools import compress
+from itertools import accumulate, compress, count
+from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetError, ParameterError
@@ -153,14 +154,31 @@ def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[in
     return adj
 
 
-def _orbit_masks(ids: Sequence[int], nv: int) -> list[int]:
-    """Per vertex, the bit set of the vertices that share its orbit id."""
-    if len(ids) != nv:
-        raise ValueError("orbits() must return one id per vertex")
+def _members(bits: int) -> list[int]:
+    """The set bits of ``bits`` in ascending order, from one ``bin`` scan."""
+    gaps = bin(bits)[:1:-1].split("1")[:-1]  # the zero runs below each set bit
+    return list(map(add, accumulate(map(len, gaps)), count()))
+
+
+def _orbit_masks(members: list[int], ids: Sequence[int]) -> dict[int, int]:
+    """Per member, the bit set of the members that share its orbit id.
+
+    Each orbit's bit set is parsed once from a string of binary digits,
+    not OR-ed together one vertex bit at a time.
+    """
+    if len(ids) != len(members):
+        raise ValueError("orbits() must return one id per member")
+    groups: dict[int, list[int]] = {}
+    for w, i in zip(members, ids):
+        groups.setdefault(i, []).append(w)
     masks: dict[int, int] = {}
-    for w, i in enumerate(ids):
-        masks[i] = masks.get(i, 0) | (1 << w)
-    return [masks[i] for i in ids]
+    for group in groups.values():
+        low, high = group[0], group[-1]
+        digits = bytearray(b"0") * (high - low + 1)
+        for w in group:
+            digits[high - w] = 49  # ord("1"); the highest vertex comes first
+        masks.update(dict.fromkeys(group, int(digits, 2) << low))
+    return masks
 
 
 def branch_and_bound(
@@ -168,7 +186,7 @@ def branch_and_bound(
     node_budget: int,
     stop_at: int,
     lower_bound: int,
-    orbits: Optional[Callable[[tuple[int, ...]], Sequence[int]]] = None,
+    orbits: Optional[Callable[[tuple[int, ...], list[int]], Sequence[int]]] = None,
 ) -> tuple[int, list[int], int]:
     """Exact maximum clique of the graph whose vertex i has neighbour set adj[i].
 
@@ -179,11 +197,14 @@ def branch_and_bound(
     the returned witness list is empty.
 
     ``orbits``, when given, prunes by symmetry at depths 0 and 1.
-    ``orbits(fixed)`` returns one id per vertex: equal ids for vertices in
-    the same orbit of a group of graph automorphisms that fixes every vertex
-    in the tuple ``fixed``. It is called with ``()`` at the root and with
-    ``(v,)`` once per root branch on v. Once the branch on v at depth 0 or
-    1 is exhausted, v's whole orbit leaves that depth's candidate set, and
+    ``orbits(fixed, members)`` takes an ascending list of vertices and
+    returns one id per member: equal ids for members in the same orbit of a
+    group of graph automorphisms that fixes every vertex in the tuple
+    ``fixed``. It is called once at the root with ``()`` and all vertices,
+    and once per root branch on v with ``(v,)`` and the depth-1 candidates,
+    the neighbours of v still in the root candidate set; that candidate set
+    is a union of the orbits below v. Once the branch on v at depth 0 or 1
+    is exhausted, v's whole orbit leaves that depth's candidate set, and
     the colour order skips the vertices that left. The size stays exact;
     the witness is then one maximum clique, not necessarily the one the
     plain search returns.
@@ -194,7 +215,7 @@ def branch_and_bound(
     nv = len(adj)
     state = [max(0, lower_bound), [], 0]  # best_size, best, nodes
 
-    def expand(cur: list[int], cand: int, orbit_of: Optional[list[int]]) -> None:
+    def expand(cur: list[int], cand: int, orbit_of: Optional[dict[int, int]]) -> None:
         state[2] += 1
         if state[2] > node_budget:
             raise BudgetError(
@@ -236,7 +257,8 @@ def branch_and_bound(
             if sub:
                 below = None
                 if orbit_of is not None and len(cur) == 1:
-                    below = _orbit_masks(orbits(tuple(cur)), nv)
+                    members = _members(sub)
+                    below = _orbit_masks(members, orbits((v,), members))
                 expand(cur, sub, below)
             elif len(cur) > state[0]:
                 state[0] = len(cur)
@@ -247,10 +269,14 @@ def branch_and_bound(
             if stop_at > 0 and state[0] >= stop_at:
                 return
 
+    root = None
+    if orbits is not None:
+        everyone = list(range(nv))
+        root = _orbit_masks(everyone, orbits((), everyone))
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 2 * nv + 200))
     try:
-        expand([], (1 << nv) - 1, None if orbits is None else _orbit_masks(orbits(()), nv))
+        expand([], (1 << nv) - 1, root)
     finally:
         sys.setrecursionlimit(old_limit)
         del expand  # it refers to itself; without this the graph waits for gc

@@ -187,7 +187,14 @@ def enumerate_multisets(
     multisets; callers that only read the vectors take
     :func:`multiset_vectors` and build no ``Multiset`` per member.
     """
-    return map(Multiset, multiset_vectors(n, k, cap))
+    # each vector is a fresh tuple of non-negative ints that sum to k, valid
+    # by construction, so the members skip Multiset.__init__'s checks
+    new, set_mult, set_k = object.__new__, Multiset.mult.__set__, Multiset.k.__set__
+    for vec in multiset_vectors(n, k, cap):
+        member = new(Multiset)
+        set_mult(member, vec)
+        set_k(member, k)
+        yield member
 
 
 def _pack_right(vec: list[int], mass: int, top: int) -> None:

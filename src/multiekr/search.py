@@ -10,6 +10,7 @@ intersection itself.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -115,8 +116,6 @@ def _oracle_max_clique(
             cur.pop()
             cand ^= low
             excl |= low
-
-    import sys
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 2 * nv + 200))

@@ -174,6 +174,23 @@ class TestEnumeration:
             assert all(type(v) is tuple for v in vectors)
             assert len({id(v) for v in vectors}) == len(vectors)
 
+    def test_members_equal_validated_multisets(self):
+        # the members skip Multiset's checks; they must not differ from it
+        for n, k, cap in [(1, 0, None), (4, 0, 2), (1, 3, None), (3, 2, None),
+                          (4, 4, 2), (5, 3, 1), (6, 5, None)]:
+            vectors = list(multiset_vectors(n, k, cap))
+            members = list(enumerate_multisets(n, k, cap))
+            assert len(members) == len(vectors)
+            for member, vec in zip(members, vectors):
+                built = Multiset(vec)
+                assert type(member) is Multiset
+                assert member == built and not member < built and member <= built
+                assert (member.mult, member.k, member.n) == (built.mult, built.k, built.n)
+                assert type(member.mult) is tuple and type(member.k) is int
+                assert hash(member) == hash(built)
+                with pytest.raises(AttributeError):
+                    member.k = k + 1
+
     @pytest.mark.parametrize("n,k,cap", [(0, 2, None), (3, -1, None), (3, 2, 0)])
     def test_errors_raised_on_first_next(self, n, k, cap):
         for generate in (enumerate_multisets, multiset_vectors):

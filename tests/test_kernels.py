@@ -57,9 +57,19 @@ class TestBackendContracts:
         stopped = kernels.max_t_clique(vecs, 2, 1, stop_at=full[0])
         assert stopped[0] == full[0]
 
-    def test_orbit_ids_one_per_vertex(self, backend):
+    def test_orbit_ids_one_per_member(self, backend):
         with pytest.raises(ValueError):
-            backend([0, 0], 5, 0, 1, lambda fixed: [0])
+            backend([0, 0], 5, 0, 1, lambda fixed, members: [0])
+        # one edge: the branch on vertex 1 has the one depth-1 candidate 0
+        calls = []
+
+        def short_below(fixed, members):
+            calls.append((fixed, list(members)))
+            return members if not fixed else []
+
+        with pytest.raises(ValueError):
+            backend([0b10, 0b01], 5, 0, 1, short_below)
+        assert calls == [((), [0, 1]), ((1,), [0])]
 
     def test_search_leaves_no_garbage(self, backend):
         # the graph must be freed on return, not when the collector next runs
@@ -131,6 +141,32 @@ class TestBackendAgreement:
                             refuted += 1
         assert too_hard == [(9, 4, 1, 1), (9, 5, 1, 2)]
         assert refuted == 538
+
+    def test_orbit_calls_identical(self, clique_c):
+        # both searches ask for the same orbits: the root with every vertex,
+        # then each root branch on v with its depth-1 candidates, in order
+        vecs = list(multiset_vectors(8, 6))
+        adj = pure.adjacency_bitsets(vecs, 6, 4)
+        bound = multiset_bound(8, 6, 4)
+        orbits = kernels.column_orbits(vecs)
+        calls = {}
+        for search in (pure.branch_and_bound, clique_c.branch_and_bound):
+            log = calls[search] = []
+
+            def recorded(fixed, members, log=log):
+                log.append((fixed, list(members)))
+                return orbits(fixed, members)
+
+            assert search(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound, recorded) == (
+                bound, [], 22,
+            )
+        ours, theirs = calls.values()
+        assert ours == theirs
+        assert ours[0] == ((), list(range(len(vecs))))
+        assert len(ours) > 1
+        for (v,), members in ours[1:]:
+            assert members == sorted(set(members))
+            assert all(adj[v] >> w & 1 for w in members), v
 
     def test_lower_bound_semantics_identical(self, clique_c):
         budget = kernels.DEFAULT_NODE_BUDGET
@@ -243,7 +279,11 @@ class TestOrbitPruning:
         adj = pure.adjacency_bitsets(self.UNCLOSED, 3, 2)
         ids: dict = {}
         shapes = [ids.setdefault(tuple(sorted(v)), len(ids)) for v in self.UNCLOSED]
-        assert pure.branch_and_bound(adj, 1000, 0, 2, lambda fixed: shapes)[0] == 2
+
+        def shape_ids(fixed, members):
+            return [shapes[w] for w in members]
+
+        assert pure.branch_and_bound(adj, 1000, 0, 2, shape_ids)[0] == 2
 
     def test_closure_check(self):
         for n in range(1, 6):
@@ -259,33 +299,86 @@ class TestOrbitPruning:
 
     def test_orbit_ids(self):
         vecs = list(multiset_vectors(4, 3))
+        everyone = list(range(len(vecs)))
         orbits = kernels.column_orbits(vecs)
-        root = orbits(())
+        root = orbits((), everyone)
         assert len(set(root)) == 3  # shapes (3), (2,1), (1,1,1)
         assert all((root[i] == root[j]) == (sorted(a) == sorted(b))
                    for i, a in enumerate(vecs) for j, b in enumerate(vecs))
         v = vecs.index((2, 1, 0, 0))  # its stabiliser swaps the last two columns
-        below = orbits((v,))
+        below = orbits((v,), everyone)
         assert below[vecs.index((0, 0, 1, 2))] == below[vecs.index((0, 0, 2, 1))]
         assert below[vecs.index((1, 2, 0, 0))] != below[vecs.index((2, 1, 0, 0))]
         assert len(set(below)) == 13  # (20 vectors + 6 fixed by the swap) / 2
+        # fewer members: one id each, equal exactly where the full call's are
+        members = [vecs.index(w) for w in [(0, 0, 1, 2), (0, 1, 2, 0), (0, 0, 2, 1)]]
+        few = orbits((v,), members)
+        assert len(few) == 3 and few[0] == few[2] != few[1]
+        assert orbits((), members) == [root[w] for w in members]
 
-    def test_orbit_ids_match_brute_force(self):
-        # at the root and below each root branch v: the orbits of the column
-        # permutations that fix the path
-        for n, k, cap in [(4, 3, None), (5, 3, None), (4, 4, 2)]:
+    @staticmethod
+    def _brute_force_mismatches(column_orbits, cases, seed):
+        """Where ``column_orbits``' ids differ from the brute-force orbits.
+
+        At the root with every vertex, and below each root vertex v with
+        every vertex and with seeded random member subsets: two members must
+        share an id exactly when a column permutation that fixes the path
+        maps one to the other.
+        """
+        rng = random.Random(seed)
+        mismatches = []
+        for n, k, cap in cases:
             vecs = list(multiset_vectors(n, k, cap))
-            orbits = kernels.column_orbits(vecs)
+            everyone = list(range(len(vecs)))
+            orbits = column_orbits(vecs)
             perms = list(permutations(range(n)))
-            for fixed in [()] + [(v,) for v in range(len(vecs))]:
+            calls = [((), everyone)]
+            for v in everyone:
+                calls.append(((v,), everyone))
+                for _ in range(3):
+                    size = rng.randint(1, len(vecs))
+                    calls.append(((v,), sorted(rng.sample(everyone, size))))
+            for fixed, members in calls:
                 fixing = [p for p in perms
                           if all(tuple(vecs[f][c] for c in p) == vecs[f] for f in fixed)]
-                ids = orbits(fixed)
-                for i, a in enumerate(vecs):
-                    same = {b for j, b in enumerate(vecs) if ids[j] == ids[i]}
-                    assert same == {tuple(a[c] for c in p) for p in fixing}, (fixed, a)
-            with pytest.raises(ValueError):
-                orbits((0, 1))
+                ids = orbits(fixed, members)
+                assert len(ids) == len(members), (n, k, cap, fixed)
+                chosen = {vecs[w] for w in members}
+                for a, i in zip(map(vecs.__getitem__, members), ids):
+                    same = {vecs[w] for w, j in zip(members, ids) if j == i}
+                    orbit = {tuple(a[c] for c in p) for p in fixing}
+                    if same != orbit & chosen:
+                        mismatches.append((n, k, cap, fixed, a))
+        return mismatches
+
+    CASES = [(4, 3, None), (5, 3, None), (4, 4, 2)]
+
+    def test_orbit_ids_match_brute_force(self):
+        assert self._brute_force_mismatches(kernels.column_orbits, self.CASES, 27) == []
+        orbits = kernels.column_orbits(list(multiset_vectors(4, 3)))
+        with pytest.raises(ValueError):
+            orbits((0, 1), [2, 3])
+
+    def test_brute_force_catches_dropped_singleton_classes(self):
+        # the unsound key: classes of one column left out, so below v the
+        # values on v's lone columns are no longer kept apart
+        def without_singletons(vecs):
+            root = kernels.column_orbits(vecs)((), list(range(len(vecs))))
+
+            def orbits(fixed, members):
+                classes: dict = {}
+                for c, a in enumerate(vecs[fixed[0]] if fixed else ()):
+                    if a:
+                        classes.setdefault(a, []).append(c)
+                keys = [(root[w], *(tuple(sorted(vecs[w][c] for c in cols))
+                                    for cols in classes.values() if len(cols) > 1))
+                        for w in members]
+                ids: dict = {}
+                return [ids.setdefault(key, len(ids)) for key in keys]
+
+            return orbits
+
+        assert self._brute_force_mismatches(without_singletons, self.CASES, 27)
 
     def test_frontier_refutation_compiled(self, clique_c, monkeypatch):
         # the (9,6,3) upper bound: no 3-intersecting family of 190 members
