@@ -5,10 +5,15 @@
    ``stop_at`` and ``lower_bound`` semantics. So sizes, witnesses and node
    counts are identical between the two.
 
-   The graph arrives as the list of Python-int bit sets that
-   ``_kernels_py.adjacency_bitsets`` builds, and is copied once into rows of
-   64-bit words. Each depth of the search owns one candidate set and one
-   colour order, allocated the first time the search reaches that depth.
+   The graph arrives as the list of Python-int rows that
+   ``_kernels_py.adjacency_bitsets`` builds, in the layout its docstring
+   states. ``load_adjacency`` copies
+   them once into rows of 64-bit words with vertex v at bit v, so the loops
+   below scan from the lowest vertex up. A row's bit for its own vertex
+   changes nothing: the colouring removes v from its available set anyway,
+   and a branch on v clears v from the candidates before it reads v's row.
+   Each depth of the search owns one candidate set and one colour order,
+   allocated the first time the search reaches that depth.
 
    Orbit pruning, when an ``orbits`` callable is given, also mirrors the
    pure search, call for call: ``orbits(fixed, members)`` returns one orbit
@@ -245,11 +250,26 @@ expand(Search *s, Py_ssize_t depth)
     return 0;
 }
 
-/* Copy the Python-int bit sets into s->adj; -1 with an exception set. */
+/* x with its 64 bits in reverse order */
+static u64
+reverse64(u64 x)
+{
+    x = (x >> 1 & 0x5555555555555555ULL) | (x & 0x5555555555555555ULL) << 1;
+    x = (x >> 2 & 0x3333333333333333ULL) | (x & 0x3333333333333333ULL) << 2;
+    x = (x >> 4 & 0x0F0F0F0F0F0F0F0FULL) | (x & 0x0F0F0F0F0F0F0F0FULL) << 4;
+    return __builtin_bswap64(x);
+}
+
+/* Copy the Python-int bit sets into s->adj; -1 with an exception set.
+
+   A row arrives with vertex v at bit nv-1-v (see adjacency_bitsets) and is
+   stored with v at bit v & 63 of word v >> 6: the row's 64*words bits are
+   reversed, which puts v at bit v + pad, and then shifted down by pad. */
 static int
 load_adjacency(Search *s, PyObject *seq)
 {
-    Py_ssize_t nbytes = s->words * 8;
+    const Py_ssize_t words = s->words, nbytes = words * 8;
+    const int pad = (int)(words * 64 - s->nv);
     for (Py_ssize_t i = 0; i < s->nv; i++) {
         PyObject *row = PySequence_Fast_GET_ITEM(seq, i);
         if (!PyLong_Check(row)) {
@@ -260,8 +280,19 @@ load_adjacency(Search *s, PyObject *seq)
                                               "Ons", row, nbytes, "little");
         if (bytes == NULL)
             return -1;
-        memcpy(s->adj + i * s->words, PyBytes_AS_STRING(bytes), nbytes);
+        const char *le = PyBytes_AS_STRING(bytes);
+        u64 *dst = s->adj + i * words;
+        for (Py_ssize_t w = 0; w < words; w++) {
+            u64 x;
+            memcpy(&x, le + (words - 1 - w) * 8, 8);
+            dst[w] = reverse64(x);
+        }
         Py_DECREF(bytes);
+        if (pad > 0) {
+            for (Py_ssize_t w = 0; w + 1 < words; w++)
+                dst[w] = dst[w] >> pad | dst[w + 1] << (64 - pad);
+            dst[words - 1] >>= pad;
+        }
     }
     return 0;
 }
@@ -289,7 +320,8 @@ release(Search *s)
 PyDoc_STRVAR(branch_and_bound_doc,
 "branch_and_bound(adj, node_budget, stop_at, lower_bound, orbits=None)\n"
 "--\n\n"
-"Exact maximum clique of the graph whose vertex i has neighbour bit set adj[i].\n\n"
+"Exact maximum clique of the graph whose vertex i has the row adj[i], in the\n"
+"layout of multiekr._kernels_py.adjacency_bitsets.\n\n"
 "Same contract as multiekr._kernels_py.branch_and_bound: returns\n"
 "(best_size, sorted_witness, nodes); raises BudgetError when more than\n"
 "node_budget nodes would be expanded; stop_at > 0 halts once the incumbent\n"

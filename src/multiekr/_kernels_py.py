@@ -9,7 +9,9 @@ so each vertex finds all its neighbours at once instead of pair by pair.
 Its second pass reads each vertex's cell list from the first and carries
 the shared-cell counts over the cell prefix that consecutive vertices have
 in common; in canonical order fewer than two cells per vertex lie past it,
-on average.
+on average. The rows it returns are closed and put the lowest vertex on
+the top bit; ``adjacency_bitsets`` states that layout, and both branch and
+bounds read it.
 These are the only implementations of the pair checks and the adjacency;
 set families use the same pair check, each k-subset as a 0/1 vector.
 The branch and bound also exists in C (``_clique_c.c``), with identical
@@ -90,7 +92,13 @@ def compatible_with_all(
 
 
 def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[int]:
-    """Bit set per vertex of the vertices it t-intersects (self excluded).
+    """Closed neighbourhood rows of the t-intersection graph, lowest vertex on top.
+
+    This is the one row layout that both branch and bounds read. Row v is a
+    bit set holding vertex v itself and every vertex it t-intersects; vertex
+    w is bit ``nv - 1 - w``, so vertex 0 is the highest bit of an ``nv``-bit
+    set. The lowest vertex of a set ``s`` is then ``nv - s.bit_length()``,
+    and the int that holds a set shrinks as its lowest vertices leave.
 
     Bit-sliced: ``level[c*k + r]`` holds the vertices whose multiplicity in
     column c exceeds r. Vertex i shares its cell (c, r) with exactly the
@@ -98,12 +106,14 @@ def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[in
     shared cells" gives its neighbours with whole-graph bit operations.
 
     The first pass fills the levels and records each vertex's cells in
-    column order. The second pass keeps the counts row by row: the row
+    column order, from the last vertex to the first, so that the i-th vertex
+    read is bit i. The second pass keeps the counts row by row: the row
     after a vertex's first j cells depends on those cells alone, so a
     vertex takes over the rows of the longest cell prefix it shares with
-    the vertex before it. In canonical order that leaves 1 to 1.7 new cells
-    per vertex on average (1.6 at n = 10, k = 6); any order gives the same
-    result. Raises ParameterError when a multiplicity exceeds k.
+    the vertex before it. Read backwards, canonical order shares the same
+    prefixes, which leaves 1 to 1.7 new cells per vertex on average (1.6 at
+    n = 10, k = 6); any order gives the same result. Raises ParameterError
+    when a multiplicity exceeds k.
     """
     nv = len(vectors)
     if nv == 0:
@@ -111,7 +121,7 @@ def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[in
     columns = range(len(vectors[0]))
     level = [0] * (len(columns) * k)
     cell_lists = []
-    for i, vec in enumerate(vectors):
+    for i, vec in enumerate(reversed(vectors)):
         bit = 1 << i
         cells: list[int] = []
         for c in compress(columns, vec):
@@ -149,19 +159,23 @@ def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[in
         hit = row[t] if t < len(row) else 0
         if 0 < t <= len(row) and last >= 0:
             hit |= row[t - 1] & level[cells[last]]
-        adj[i] = hit & ~(1 << i)
+        adj[nv - 1 - i] = hit | (1 << i)  # closed: a vertex with |v| < t keeps its bit
         prev = cells
     return adj
 
 
-def _members(bits: int) -> list[int]:
-    """The set bits of ``bits`` in ascending order, from one ``bin`` scan."""
-    gaps = bin(bits)[:1:-1].split("1")[:-1]  # the zero runs below each set bit
-    return list(map(add, accumulate(map(len, gaps)), count()))
+def _members(bits: int, nv: int) -> list[int]:
+    """The vertices of an ``nv``-vertex set, ascending, from one ``bin`` scan.
+
+    Read from its top, the string lists the vertices in ascending order;
+    its ``0b`` prefix counts as two places of the first zero run.
+    """
+    gaps = bin(bits).split("1")[:-1]  # the zero runs above each set bit
+    return list(map(add, accumulate(map(len, gaps)), count(nv - bits.bit_length() - 2)))
 
 
-def _orbit_masks(members: list[int], ids: Sequence[int]) -> dict[int, int]:
-    """Per member, the bit set of the members that share its orbit id.
+def _orbit_masks(members: list[int], ids: Sequence[int], nv: int) -> dict[int, int]:
+    """Per member, the ``nv``-vertex set of the members that share its orbit id.
 
     Each orbit's bit set is parsed once from a string of binary digits,
     not OR-ed together one vertex bit at a time.
@@ -176,8 +190,8 @@ def _orbit_masks(members: list[int], ids: Sequence[int]) -> dict[int, int]:
         low, high = group[0], group[-1]
         digits = bytearray(b"0") * (high - low + 1)
         for w in group:
-            digits[high - w] = 49  # ord("1"); the highest vertex comes first
-        masks.update(dict.fromkeys(group, int(digits, 2) << low))
+            digits[w - low] = 49  # ord("1"); the lowest vertex comes first
+        masks.update(dict.fromkeys(group, int(digits, 2) << (nv - 1 - high)))
     return masks
 
 
@@ -188,7 +202,13 @@ def branch_and_bound(
     lower_bound: int,
     orbits: Optional[Callable[[tuple[int, ...], list[int]], Sequence[int]]] = None,
 ) -> tuple[int, list[int], int]:
-    """Exact maximum clique of the graph whose vertex i has neighbour set adj[i].
+    """Exact maximum clique of the graph whose vertex i has the row adj[i].
+
+    The rows are in the layout that :func:`adjacency_bitsets` states. The
+    colouring finds the lowest vertex of a set from its bit length and
+    removes it with its neighbours by one AND and one XOR, both on
+    non-negative ints, so the sets shrink as their lowest vertices leave.
+    That removal relies on each row holding its own vertex.
 
     Branch and bound over the vertex order with a greedy-coloring bound.
     ``stop_at`` > 0 halts as soon as the incumbent reaches that size (used
@@ -237,18 +257,17 @@ def branch_and_bound(
             color += 1
             avail = uncolored
             while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
+                bl = avail.bit_length()
+                v = nv - bl  # the lowest vertex is the top bit
                 order.append(v)
                 color_of.append(color)
-                uncolored ^= low
-                avail &= ~adj[v]
-                avail ^= low
+                uncolored ^= 1 << (bl - 1)
+                avail ^= avail & adj[v]  # v and its neighbours; the row is closed
         for idx in range(len(order) - 1, -1, -1):
             if len(cur) + color_of[idx] <= state[0]:
                 return
             v = order[idx]
-            bit = 1 << v
+            bit = 1 << (nv - 1 - v)
             if not cand & bit:  # its orbit left after an earlier branch
                 continue
             cand ^= bit
@@ -257,22 +276,22 @@ def branch_and_bound(
             if sub:
                 below = None
                 if orbit_of is not None and len(cur) == 1:
-                    members = _members(sub)
-                    below = _orbit_masks(members, orbits((v,), members))
+                    members = _members(sub, nv)
+                    below = _orbit_masks(members, orbits((v,), members), nv)
                 expand(cur, sub, below)
             elif len(cur) > state[0]:
                 state[0] = len(cur)
                 state[1] = cur.copy()
             cur.pop()
             if orbit_of is not None:
-                cand &= ~orbit_of[v]
+                cand ^= cand & orbit_of[v]
             if stop_at > 0 and state[0] >= stop_at:
                 return
 
     root = None
     if orbits is not None:
         everyone = list(range(nv))
-        root = _orbit_masks(everyone, orbits((), everyone))
+        root = _orbit_masks(everyone, orbits((), everyone), nv)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 2 * nv + 200))
     try:

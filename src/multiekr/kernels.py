@@ -5,8 +5,9 @@ in pure Python (``multiekr._kernels_py``); multiset and set families alike
 go through the same pair predicates. Only the branch and bound exists
 twice: a hand-written C extension (``multiekr._clique_c``) and the
 pure-Python original. The compiled search is used when it imports, the
-pure one otherwise. Both use the same branching order, so sizes, witnesses
-and node counts are identical either way.
+pure one otherwise. Both read the one row layout that
+``_kernels_py.adjacency_bitsets`` states, and both use the same branching
+order, so sizes, witnesses and node counts are identical either way.
 
 A refutation (``lower_bound`` > 0) over a vertex list that every column
 permutation maps onto itself also prunes by symmetry: a column permutation
@@ -108,7 +109,9 @@ def max_t_clique(
 ) -> tuple[int, list[int], int]:
     """Exact maximum clique in the t-intersection graph of the vectors.
 
-    Builds the adjacency and runs the active backend's branch and bound.
+    Builds the adjacency rows, in the layout that
+    ``_kernels_py.adjacency_bitsets`` states, and runs the active backend's
+    branch and bound on them.
     ``stop_at`` > 0 halts as soon as the incumbent reaches that size;
     ``lower_bound`` seeds the incumbent size without a witness. When
     ``lower_bound`` > 0 and :func:`column_orbits` finds the list closed

@@ -58,8 +58,9 @@ class TestBackendContracts:
         assert stopped[0] == full[0]
 
     def test_orbit_ids_one_per_member(self, backend):
+        # closed rows, vertex 0 on the top bit: two vertices, no edge
         with pytest.raises(ValueError):
-            backend([0, 0], 5, 0, 1, lambda fixed, members: [0])
+            backend([0b10, 0b01], 5, 0, 1, lambda fixed, members: [0])
         # one edge: the branch on vertex 1 has the one depth-1 candidate 0
         calls = []
 
@@ -68,7 +69,7 @@ class TestBackendContracts:
             return members if not fixed else []
 
         with pytest.raises(ValueError):
-            backend([0b10, 0b01], 5, 0, 1, short_below)
+            backend([0b11, 0b11], 5, 0, 1, short_below)
         assert calls == [((), [0, 1]), ((1,), [0])]
 
     def test_search_leaves_no_garbage(self, backend):
@@ -137,7 +138,8 @@ class TestBackendAgreement:
                             size, witness, _ = got
                             assert size == max(best, lb), (n, k, cap, t, lb)
                             assert len(witness) in (0, size)
-                            assert all(adj[a] >> b & 1 for a in witness for b in witness if a != b)
+                            top = len(adj) - 1
+                            assert all(adj[a] >> (top - b) & 1 for a in witness for b in witness)
                             refuted += 1
         assert too_hard == [(9, 4, 1, 1), (9, 5, 1, 2)]
         assert refuted == 538
@@ -166,7 +168,7 @@ class TestBackendAgreement:
         assert len(ours) > 1
         for (v,), members in ours[1:]:
             assert members == sorted(set(members))
-            assert all(adj[v] >> w & 1 for w in members), v
+            assert all(adj[v] >> (len(adj) - 1 - w) & 1 for w in members), v
 
     def test_lower_bound_semantics_identical(self, clique_c):
         budget = kernels.DEFAULT_NODE_BUDGET
@@ -184,8 +186,9 @@ def _shared(a, b):
 
 
 def _neighbours(sizes, i, t):
-    """Bit set of the j != i whose intersection with vertex i is >= t."""
-    return sum(1 << j for j, size in enumerate(sizes) if size >= t and j != i)
+    """Closed row of vertex i: i and every j it t-intersects, j at bit nv - 1 - j."""
+    nv = len(sizes)
+    return sum(1 << (nv - 1 - j) for j, size in enumerate(sizes) if size >= t or j == i)
 
 
 class TestAdjacency:
@@ -256,7 +259,8 @@ class TestNodeCounts:
 
     @pytest.mark.parametrize(
         "n,k,t,nodes",
-        [(7, 5, 3, 10), (8, 5, 3, 27), (8, 6, 4, 22), (10, 5, 3, 22), (9, 6, 4, 34)],
+        [(7, 5, 3, 10), (8, 5, 3, 27), (8, 6, 4, 22), (10, 5, 3, 22), (9, 6, 4, 34),
+         (10, 6, 4, 55)],
     )
     def test_orbit_refutation_at_bound(self, backend, n, k, t, nodes):
         vecs = list(multiset_vectors(n, k))
@@ -315,6 +319,23 @@ class TestOrbitPruning:
         few = orbits((v,), members)
         assert len(few) == 3 and few[0] == few[2] != few[1]
         assert orbits((), members) == [root[w] for w in members]
+
+    def test_members_and_orbit_masks_match_bit_loop(self):
+        # the pure search's set readers against a loop over every vertex bit,
+        # vertex v at bit nv - 1 - v: the empty set, {0}, {nv - 1}, everyone
+        rng = random.Random(61)
+        for nv in (1, 2, 63, 64, 65, 300, 3003):
+            sets = [0, 1 << (nv - 1), 1, (1 << nv) - 1]
+            sets += [rng.getrandbits(nv) for _ in range(4)]
+            for bits in sets:
+                members = [v for v in range(nv) if bits >> (nv - 1 - v) & 1]
+                assert pure._members(bits, nv) == members, (nv, bits)
+                ids = [rng.randrange(4) for _ in members]
+                orbit = dict.fromkeys(ids, 0)
+                for w, i in zip(members, ids):
+                    orbit[i] |= 1 << (nv - 1 - w)
+                expected = {w: orbit[i] for w, i in zip(members, ids)}
+                assert pure._orbit_masks(members, ids, nv) == expected, (nv, bits)
 
     @staticmethod
     def _brute_force_mismatches(column_orbits, cases, seed):
