@@ -53,7 +53,7 @@ from .search import (
 HEADER = "check,params,expected,actual,status"
 SHARPNESS_LIMIT = 500  # largest C(n+k-1, k) in the sharpness grid
 QUICK_SHARPNESS_LIMIT = 70  # the same for the --quick grid
-ORACLE_LIMIT = 70  # largest C(n+k-1, k) the oracle re-checks
+ORACLE_LIMIT = 110  # largest C(n+k-1, k) the oracle re-checks
 CORPUS_SIZE = 200
 QUICK_CORPUS_SIZE = 40
 

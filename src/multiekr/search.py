@@ -13,8 +13,10 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial, reduce
+from itertools import combinations, compress, repeat
 from math import comb
+from operator import add, ge, itemgetter
 from typing import Optional
 
 from . import kernels
@@ -65,26 +67,49 @@ class SearchResult:
         return {**vars(self), "witness": self.witness.mult_vectors()}
 
 
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _oracle_graph(vectors: list[tuple[int, ...]], t: int) -> list[int]:
+    """Open neighbour rows of the t-intersection graph, one row at a time.
+
+    Bit j of row i is set when i != j and the sum over columns c of
+    min(v_i[c], v_j[c]) is at least t. Row i takes each nonzero column c
+    of v_i and caps it at v_i[c] for every vertex at once: ``caps[a][x]``
+    is min(x, a), so picking column c's entries out of ``caps[a]`` gives
+    min(a, w_c) for every vertex w. Zero columns add min(0, w_c) = 0 and
+    are skipped. The capped columns are added up, each sum is compared with
+    t, and the results are read as one string of binary digits. The columns
+    are picked last vertex first, so the string's last digit is vertex 0.
+    """
+    nv = len(vectors)
+    if nv < 2:
+        return [0] * nv
+    top = max(map(max, vectors))
+    caps = [tuple(map(min, range(top + 1), repeat(a))) for a in range(top + 1)]
+    picks = [itemgetter(*column[::-1]) for column in zip(*vectors)]
+    zeros = (0,) * nv
+    rows = []
+    for i, v in enumerate(vectors):
+        capped = [pick(caps[a]) for pick, a in compress(zip(picks, v), v)]
+        sums = reduce(partial(map, add), capped) if capped else zeros
+        digits = bytes(map(ge, sums, repeat(t))).translate(_BINARY_DIGITS)
+        rows.append(int(digits, 2) & ~(1 << i))
+    return rows
+
+
 def _oracle_max_clique(
     vectors: list[tuple[int, ...]], t: int, node_budget: int
 ) -> tuple[int, list[int], int]:
     """Largest maximal clique, by Bron–Kerbosch with Tomita pivoting.
 
     Every maximal t-intersecting subfamily is reported once and the first
-    largest one wins; no size bound prunes anything. The graph is built
-    from the definition alone: the sum of minima runs over the nonzero
-    columns of one side of each pair, since min(0, b) = 0.
+    largest one wins; no size bound prunes anything. The graph comes from
+    ``_oracle_graph``, which reads the definition and nothing of the
+    pruned search.
     """
     nv = len(vectors)
-    supports = [[(c, a) for c, a in enumerate(v) if a] for v in vectors]
-    neighbors = [0] * nv
-    for i in range(nv):
-        si = supports[i]
-        for j in range(i + 1, nv):
-            vj = vectors[j]
-            if sum(min(a, vj[c]) for c, a in si) >= t:
-                neighbors[i] |= 1 << j
-                neighbors[j] |= 1 << i
+    neighbors = _oracle_graph(vectors, t)
     state = [0, [], 0]  # best_size, best, nodes
 
     def visit(cur: list[int], cand: int, excl: int) -> None:

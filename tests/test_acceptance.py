@@ -61,7 +61,7 @@ def test_criterion_3_exhaustive_sharpness():
     rows = _passing(battery.sharpness(), "3 exhaustive sharpness")
     sharp = _of(rows, "sharpness")
     assert len(sharp) == 608
-    assert len(_of(rows, "sharpness_oracle")) == 101
+    assert len(_of(rows, "sharpness_oracle")) == 150
     assert ("sharpness", "n=7;k=5;t=3", 31, 31) in sharp
 
 

@@ -29,7 +29,7 @@ from multiekr import (
 )
 from multiekr import battery, kernels
 from multiekr.bounds import ak
-from multiekr.search import _oracle_max_clique
+from multiekr.search import _oracle_graph, _oracle_max_clique
 
 
 class TestMaxTIntersecting:
@@ -99,13 +99,19 @@ class TestMaxTIntersecting:
 
 
 
-def _brute_force_max_clique(vectors, t):
-    """Largest t-intersecting sublist, over all 2^N vertex subsets."""
+def _definition_graph(vectors, t):
+    """Open neighbour rows, pair by pair from the sum of minima; bit j = vertex j."""
     nv = len(vectors)
-    adj = [
+    return [
         sum(1 << j for j in range(nv) if j != i and sum(map(min, vectors[i], vectors[j])) >= t)
         for i in range(nv)
     ]
+
+
+def _brute_force_max_clique(vectors, t):
+    """Largest t-intersecting sublist, over all 2^N vertex subsets."""
+    nv = len(vectors)
+    adj = _definition_graph(vectors, t)
     clique = [True] * (1 << nv)  # clique[S]: S is pairwise t-intersecting
     best = 0
     for subset in range(1, 1 << nv):
@@ -150,6 +156,28 @@ class TestOracle:
     """The oracle against brute force, and orbit pruning against the oracle."""
 
     @pytest.mark.parametrize(
+        "k,vectors",
+        [
+            *_small_enumerations(),
+            *_unclosed_sublists(7, 40),
+            pytest.param(4, [v for size in range(5) for v in multiset_vectors(4, size)], id="mixed"),
+            pytest.param(1, list(multiset_vectors(70, 1)), id="n70-k1"),
+        ],
+    )
+    def test_graph_matches_definition(self, k, vectors):
+        # t = k + 1 is above every intersection of two distinct members
+        for t in range(1, k + 2):
+            assert _oracle_graph(vectors, t) == _definition_graph(vectors, t), t
+        assert _oracle_graph(vectors, k + 1) == [0] * len(vectors)
+
+    def test_graph_matches_definition_past_a_byte(self):
+        # sums of minima up to 300: the threshold step must not assume bytes
+        vectors = list(multiset_vectors(2, 300))
+        for t in (1, 256, 299):
+            assert _oracle_graph(vectors, t) == _definition_graph(vectors, t), t
+        assert _oracle_graph(vectors, 300) == [0] * len(vectors)
+
+    @pytest.mark.parametrize(
         "k,vectors", [*_small_enumerations(), *_unclosed_sublists(7, 40)]
     )
     def test_matches_brute_force(self, k, vectors):
@@ -176,15 +204,21 @@ class TestOracle:
 
     def test_orbit_pruning_agrees_on_sharpness_grid(self):
         # every criterion-3 point of at most 200 vertices: the oracle finds
-        # the bound, orbit pruning refutes bound + 1 and finds bound
+        # the bound, orbit pruning refutes bound + 1 and finds bound; the
+        # node total is pinned over criterion 3's own oracle points
         points = [
             p for p in battery._sharpness_grid(200) if count_multisets(*p[:2]) <= 200
         ]
         assert len(points) == 259
+        oracle_points = oracle_nodes = 0
         for n, k, t in points:
             vectors = list(multiset_vectors(n, k))
             bound = multiset_bound(n, k, t)
-            assert _oracle_max_clique(vectors, t, 10**6)[0] == bound, (n, k, t)
+            size, witness, nodes = _oracle_max_clique(vectors, t, 10**6)
+            assert size == len(witness) == bound, (n, k, t)
+            if len(vectors) <= battery.ORACLE_LIMIT:
+                oracle_points += 1
+                oracle_nodes += nodes
             size, witness, _ = kernels.max_t_clique(vectors, k, t, lower_bound=bound)
             assert (size, witness) == (bound, []), (n, k, t)
             if bound > 1:
@@ -195,6 +229,7 @@ class TestOracle:
                 assert kernels.all_pairs_at_least(
                     [vectors[i] for i in witness], k, t
                 ), (n, k, t)
+        assert (oracle_points, oracle_nodes) == (150, 35_824)
 
 
 def _containing(n, k, center):
