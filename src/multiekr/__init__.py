@@ -13,8 +13,7 @@ Library surface:
 * :mod:`multiekr.cli` — the ``multiekr`` command-line frontend.
 
 The hot kernels run through :mod:`multiekr.kernels`, whose clique search
-uses the compiled branch and bound when it is built and the pure-Python
-one otherwise.
+is the pure-Python branch and bound.
 """
 
 from .bounds import (

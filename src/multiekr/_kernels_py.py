@@ -10,13 +10,11 @@ Its second pass reads each vertex's cell list from the first and carries
 the shared-cell counts over the cell prefix that consecutive vertices have
 in common; in canonical order fewer than two cells per vertex lie past it,
 on average. The rows it returns are closed and put the lowest vertex on
-the top bit; ``adjacency_bitsets`` states that layout, and both branch and
-bounds read it.
-These are the only implementations of the pair checks and the adjacency;
-set families use the same pair check, each k-subset as a 0/1 vector.
-The branch and bound also exists in C (``_clique_c.c``), with identical
-branching order and the same optional orbit pruning at depths 0 and 1, so
-results and node counts match bit for bit.
+the top bit; ``adjacency_bitsets`` states that layout, and the branch and
+bound reads it.
+These are the only implementations of the pair checks, the adjacency and
+the clique search; set families use the same pair check, each k-subset as a
+0/1 vector.
 """
 
 from __future__ import annotations

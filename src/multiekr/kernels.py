@@ -1,13 +1,9 @@
-"""The hot kernels, and the choice of clique search backend.
+"""The hot kernels: the pair predicates, the adjacency and the clique search.
 
-The pair predicates and the adjacency build have one implementation each,
-in pure Python (``multiekr._kernels_py``); multiset and set families alike
-go through the same pair predicates. Only the branch and bound exists
-twice: a hand-written C extension (``multiekr._clique_c``) and the
-pure-Python original. The compiled search is used when it imports, the
-pure one otherwise. Both read the one row layout that
-``_kernels_py.adjacency_bitsets`` states, and both use the same branching
-order, so sizes, witnesses and node counts are identical either way.
+Each has one implementation, in pure Python (``multiekr._kernels_py``);
+multiset and set families alike go through the same pair predicates.
+``max_t_clique`` builds the rows that ``_kernels_py.adjacency_bitsets``
+lays out and runs ``_kernels_py.branch_and_bound`` on them.
 
 A refutation (``lower_bound`` > 0) over a vertex list that every column
 permutation maps onto itself also prunes by symmetry: a column permutation
@@ -37,11 +33,6 @@ from ._kernels_py import (  # noqa: F401 (re-exported: the only copies)
 )
 
 DEFAULT_NODE_BUDGET = 20_000_000
-
-try:
-    from ._clique_c import branch_and_bound
-except ImportError:
-    branch_and_bound = _kernels_py.branch_and_bound
 
 
 def column_orbits(
@@ -110,8 +101,8 @@ def max_t_clique(
     """Exact maximum clique in the t-intersection graph of the vectors.
 
     Builds the adjacency rows, in the layout that
-    ``_kernels_py.adjacency_bitsets`` states, and runs the active backend's
-    branch and bound on them.
+    ``_kernels_py.adjacency_bitsets`` states, and runs the branch and bound
+    on them.
     ``stop_at`` > 0 halts as soon as the incumbent reaches that size;
     ``lower_bound`` seeds the incumbent size without a witness. When
     ``lower_bound`` > 0 and :func:`column_orbits` finds the list closed
@@ -127,10 +118,9 @@ def max_t_clique(
         return 0, [], 0
     adj = _kernels_py.adjacency_bitsets(vectors, k, t)
     orbits = column_orbits(vectors) if lower_bound > 0 else None
-    return branch_and_bound(adj, node_budget, stop_at, lower_bound, orbits)
+    return _kernels_py.branch_and_bound(adj, node_budget, stop_at, lower_bound, orbits)
 
 
 def backend_name() -> str:
-    """Which branch and bound is active: "compiled" or "python"."""
-    pure = branch_and_bound is _kernels_py.branch_and_bound
-    return "python" if pure else "compiled"
+    """Which branch and bound runs: always "python", the only one."""
+    return "python"

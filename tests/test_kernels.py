@@ -1,5 +1,5 @@
-"""Kernel tests: the adjacency against its definition, and the two branch
-and bounds (pure Python and the C extension) against each other."""
+"""Kernel tests: the adjacency against its definition, and the branch and
+bound's contracts, pinned node counts and orbit pruning."""
 
 import gc
 import random
@@ -12,55 +12,27 @@ from multiekr import _kernels_py as pure
 from multiekr import kernels
 from multiekr.bounds import multiset_bound
 
-BACKENDS = ["multiekr._kernels_py", "multiekr._clique_c"]
 
-
-@pytest.fixture
-def backend(request, monkeypatch):
-    """Run kernels.max_t_clique on one backend's branch and bound."""
-    if request.param == "multiekr._kernels_py":
-        search = pure.branch_and_bound
-    else:
-        search = request.getfixturevalue("clique_c").branch_and_bound
-    monkeypatch.setattr(kernels, "branch_and_bound", search)
-    return search
-
-
-def _instances(seed, count):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(1, 6)
-        k = rng.randint(1, 5)
-        t = rng.randint(1, k)
-        vecs = list(multiset_vectors(n, k))
-        if len(vecs) > 130:
-            continue
-        out.append((n, k, t, vecs, rng.random()))
-    return out
-
-
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 class TestBackendContracts:
-    def test_budget_error(self, backend):
+    def test_budget_error(self):
         vecs = list(multiset_vectors(3, 2))
         with pytest.raises(BudgetError):
             kernels.max_t_clique(vecs, 2, 1, node_budget=2)
 
-    def test_empty_instance(self, backend):
+    def test_empty_instance(self):
         assert kernels.max_t_clique([], 2, 1) == (0, [], 0)
-        assert backend([], 5, 0, 3) == (3, [], 1)
+        assert pure.branch_and_bound([], 5, 0, 3) == (3, [], 1)
 
-    def test_stop_at_still_exact(self, backend):
+    def test_stop_at_still_exact(self):
         vecs = list(multiset_vectors(3, 2))
         full = kernels.max_t_clique(vecs, 2, 1)
         stopped = kernels.max_t_clique(vecs, 2, 1, stop_at=full[0])
         assert stopped[0] == full[0]
 
-    def test_orbit_ids_one_per_member(self, backend):
+    def test_orbit_ids_one_per_member(self):
         # closed rows, vertex 0 on the top bit: two vertices, no edge
         with pytest.raises(ValueError):
-            backend([0b10, 0b01], 5, 0, 1, lambda fixed, members: [0])
+            pure.branch_and_bound([0b10, 0b01], 5, 0, 1, lambda fixed, members: [0])
         # one edge: the branch on vertex 1 has the one depth-1 candidate 0
         calls = []
 
@@ -69,10 +41,10 @@ class TestBackendContracts:
             return members if not fixed else []
 
         with pytest.raises(ValueError):
-            backend([0b11, 0b11], 5, 0, 1, short_below)
+            pure.branch_and_bound([0b11, 0b11], 5, 0, 1, short_below)
         assert calls == [((), [0, 1]), ((1,), [0])]
 
-    def test_search_leaves_no_garbage(self, backend):
+    def test_search_leaves_no_garbage(self):
         # the graph must be freed on return, not when the collector next runs
         vecs = list(multiset_vectors(7, 5))
         gc.collect()
@@ -85,99 +57,6 @@ class TestBackendContracts:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-
-class TestBackendAgreement:
-    def test_clique_results_identical(self, clique_c):
-        budget = kernels.DEFAULT_NODE_BUDGET
-        for n, k, t, vecs, _ in _instances(1234, 50):
-            adj = pure.adjacency_bitsets(vecs, k, t)
-            full = pure.branch_and_bound(adj, budget, 0, 0)
-            for stop_at in (0, full[0]):
-                assert clique_c.branch_and_bound(adj, budget, stop_at, 0) == (
-                    pure.branch_and_bound(adj, budget, stop_at, 0)
-                ), (n, k, t, stop_at)
-
-    @pytest.mark.parametrize("n,k,t", [(7, 5, 3), (6, 4, 2), (8, 4, 1), (12, 3, 1)])
-    def test_full_searches_identical(self, clique_c, n, k, t):
-        # searches to exhaustion, without a stop bound, on whole enumerations
-        vecs = list(multiset_vectors(n, k))
-        adj = pure.adjacency_bitsets(vecs, k, t)
-        budget = kernels.DEFAULT_NODE_BUDGET
-        assert clique_c.branch_and_bound(adj, budget, 0, 0) == (
-            pure.branch_and_bound(adj, budget, 0, 0)
-        )
-
-    def test_orbit_refutations_identical(self, clique_c):
-        # every enumeration of at most 130 vertices, refuted at max - 1 and
-        # at max with orbit pruning; max comes from the plain search, which
-        # gives up on two dense set systems (20M and 1.7M nodes)
-        budget = kernels.DEFAULT_NODE_BUDGET
-        refuted, too_hard = 0, []
-        for n in range(1, 10):
-            for k in range(1, 7):
-                for cap in (None, 1, 2):
-                    vecs = list(multiset_vectors(n, k, cap))
-                    if not vecs or len(vecs) > 130:
-                        continue
-                    orbits = kernels.column_orbits(vecs)
-                    for t in range(1, k + 1):
-                        adj = pure.adjacency_bitsets(vecs, k, t)
-                        try:
-                            best = clique_c.branch_and_bound(adj, 200_000, 0, 0)[0]
-                        except BudgetError:
-                            too_hard.append((n, k, cap, t))
-                            continue
-                        for lb in (best - 1, best):
-                            if lb <= 0:
-                                continue
-                            got = pure.branch_and_bound(adj, budget, 0, lb, orbits)
-                            assert got == clique_c.branch_and_bound(
-                                adj, budget, 0, lb, orbits
-                            ), (n, k, cap, t, lb)
-                            size, witness, _ = got
-                            assert size == max(best, lb), (n, k, cap, t, lb)
-                            assert len(witness) in (0, size)
-                            top = len(adj) - 1
-                            assert all(adj[a] >> (top - b) & 1 for a in witness for b in witness)
-                            refuted += 1
-        assert too_hard == [(9, 4, 1, 1), (9, 5, 1, 2)]
-        assert refuted == 538
-
-    def test_orbit_calls_identical(self, clique_c):
-        # both searches ask for the same orbits: the root with every vertex,
-        # then each root branch on v with its depth-1 candidates, in order
-        vecs = list(multiset_vectors(8, 6))
-        adj = pure.adjacency_bitsets(vecs, 6, 4)
-        bound = multiset_bound(8, 6, 4)
-        orbits = kernels.column_orbits(vecs)
-        calls = {}
-        for search in (pure.branch_and_bound, clique_c.branch_and_bound):
-            log = calls[search] = []
-
-            def recorded(fixed, members, log=log):
-                log.append((fixed, list(members)))
-                return orbits(fixed, members)
-
-            assert search(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound, recorded) == (
-                bound, [], 22,
-            )
-        ours, theirs = calls.values()
-        assert ours == theirs
-        assert ours[0] == ((), list(range(len(vecs))))
-        assert len(ours) > 1
-        for (v,), members in ours[1:]:
-            assert members == sorted(set(members))
-            assert all(adj[v] >> (len(adj) - 1 - w) & 1 for w in members), v
-
-    def test_lower_bound_semantics_identical(self, clique_c):
-        budget = kernels.DEFAULT_NODE_BUDGET
-        vecs = list(multiset_vectors(4, 3))
-        adj = pure.adjacency_bitsets(vecs, 3, 1)
-        for lb in (0, 2, 50):
-            assert pure.branch_and_bound(adj, budget, 0, lb) == (
-                clique_c.branch_and_bound(adj, budget, 0, lb)
-            )
 
 
 def _shared(a, b):
@@ -229,7 +108,6 @@ class TestAdjacency:
             assert adj[i] == _neighbours(sizes, i, 3), vecs[i]
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 class TestNodeCounts:
     """Pinned branching: a faster graph build must not change the search."""
 
@@ -240,7 +118,7 @@ class TestNodeCounts:
             (9, 6, 4, 49, 206), (10, 6, 4, 55, 55),
         ],
     )
-    def test_search_to_bound(self, backend, n, k, t, size, nodes):
+    def test_search_to_bound(self, n, k, t, size, nodes):
         vecs = list(multiset_vectors(n, k))
         got, witness, explored = kernels.max_t_clique(
             vecs, k, t, stop_at=multiset_bound(n, k, t)
@@ -250,19 +128,21 @@ class TestNodeCounts:
     @pytest.mark.parametrize(
         "n,k,t,nodes", [(7, 5, 3, 518), (8, 5, 3, 2403), (8, 6, 4, 1994)]
     )
-    def test_refutation_at_bound(self, backend, n, k, t, nodes):
+    def test_refutation_at_bound(self, n, k, t, nodes):
         # without orbit pruning, as for a list that is not column-closed
         vecs = list(multiset_vectors(n, k))
         bound = multiset_bound(n, k, t)
         adj = pure.adjacency_bitsets(vecs, k, t)
-        assert backend(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound) == (bound, [], nodes)
+        assert pure.branch_and_bound(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound) == (
+            bound, [], nodes,
+        )
 
     @pytest.mark.parametrize(
         "n,k,t,nodes",
         [(7, 5, 3, 10), (8, 5, 3, 27), (8, 6, 4, 22), (10, 5, 3, 22), (9, 6, 4, 34),
          (10, 6, 4, 55)],
     )
-    def test_orbit_refutation_at_bound(self, backend, n, k, t, nodes):
+    def test_orbit_refutation_at_bound(self, n, k, t, nodes):
         vecs = list(multiset_vectors(n, k))
         bound = multiset_bound(n, k, t)
         assert kernels.max_t_clique(vecs, k, t, lower_bound=bound) == (bound, [], nodes)
@@ -272,8 +152,7 @@ class TestOrbitPruning:
     # seven of the ten 3-multisets of [3]: not closed under column permutations
     UNCLOSED = [(0, 0, 3), (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
-    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-    def test_unclosed_list_is_not_pruned(self, backend):
+    def test_unclosed_list_is_not_pruned(self):
         size, witness, _ = kernels.max_t_clique(self.UNCLOSED, 3, 2, lower_bound=2)
         assert size == len(witness) == 3
         assert kernels.all_pairs_at_least([self.UNCLOSED[i] for i in witness], 3, 2)
@@ -401,9 +280,63 @@ class TestOrbitPruning:
 
         assert self._brute_force_mismatches(without_singletons, self.CASES, 27)
 
-    def test_frontier_refutation_compiled(self, clique_c, monkeypatch):
+    def test_orbit_refutations(self):
+        # every enumeration of at most 130 vertices, refuted at max - 1 and
+        # at max with orbit pruning; max comes from the plain search, which
+        # needs at most 3,571 nodes on every other list and gives up on two
+        # dense set systems (20M and 1.7M nodes)
+        budget = kernels.DEFAULT_NODE_BUDGET
+        refuted, too_hard = 0, []
+        for n in range(1, 10):
+            for k in range(1, 7):
+                for cap in (None, 1, 2):
+                    vecs = list(multiset_vectors(n, k, cap))
+                    if not vecs or len(vecs) > 130:
+                        continue
+                    orbits = kernels.column_orbits(vecs)
+                    for t in range(1, k + 1):
+                        adj = pure.adjacency_bitsets(vecs, k, t)
+                        try:
+                            best = pure.branch_and_bound(adj, 20_000, 0, 0)[0]
+                        except BudgetError:
+                            too_hard.append((n, k, cap, t))
+                            continue
+                        for lb in (best - 1, best):
+                            if lb <= 0:
+                                continue
+                            size, witness, _ = pure.branch_and_bound(adj, budget, 0, lb, orbits)
+                            assert size == max(best, lb), (n, k, cap, t, lb)
+                            assert len(witness) in (0, size)
+                            top = len(adj) - 1
+                            assert all(adj[a] >> (top - b) & 1 for a in witness for b in witness)
+                            refuted += 1
+        assert too_hard == [(9, 4, 1, 1), (9, 5, 1, 2)]
+        assert refuted == 538
+
+    def test_orbit_calls(self):
+        # the search asks for orbits at the root with every vertex, then below
+        # each root branch on v with v's depth-1 candidates, in order
+        vecs = list(multiset_vectors(8, 6))
+        adj = pure.adjacency_bitsets(vecs, 6, 4)
+        bound = multiset_bound(8, 6, 4)
+        orbits = kernels.column_orbits(vecs)
+        calls = []
+
+        def recorded(fixed, members):
+            calls.append((fixed, list(members)))
+            return orbits(fixed, members)
+
+        assert pure.branch_and_bound(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound, recorded) == (
+            bound, [], 22,
+        )
+        assert calls[0] == ((), list(range(len(vecs))))
+        assert len(calls) > 1
+        for (v,), members in calls[1:]:
+            assert members == sorted(set(members))
+            assert all(adj[v] >> (len(adj) - 1 - w) & 1 for w in members), v
+
+    def test_frontier_refutation(self):
         # the (9,6,3) upper bound: no 3-intersecting family of 190 members
-        monkeypatch.setattr(kernels, "branch_and_bound", clique_c.branch_and_bound)
         vecs = list(multiset_vectors(9, 6))
         assert kernels.max_t_clique(vecs, 6, 3, lower_bound=189) == (189, [], 13043)
 
@@ -433,7 +366,7 @@ class TestStaircaseHeight:
 
 class TestDispatch:
     def test_backend_reported(self):
-        assert kernels.backend_name() in ("compiled", "python")
+        assert kernels.backend_name() == "python"
 
     def test_dispatch_matches_selected_module(self):
         vecs = list(multiset_vectors(3, 2))
