@@ -12,27 +12,32 @@ from multiekr import _kernels_py as pure
 from multiekr import kernels
 from multiekr.bounds import multiset_bound
 
+# The search module under test, passed as ``backend`` and named in the test ids
+# by its module name.
+BACKEND = pytest.mark.parametrize("backend", [pure], ids=lambda module: module.__name__)
 
+
+@BACKEND
 class TestBackendContracts:
-    def test_budget_error(self):
+    def test_budget_error(self, backend):
         vecs = list(multiset_vectors(3, 2))
         with pytest.raises(BudgetError):
             kernels.max_t_clique(vecs, 2, 1, node_budget=2)
 
-    def test_empty_instance(self):
+    def test_empty_instance(self, backend):
         assert kernels.max_t_clique([], 2, 1) == (0, [], 0)
-        assert pure.branch_and_bound([], 5, 0, 3) == (3, [], 1)
+        assert backend.branch_and_bound([], 5, 0, 3) == (3, [], 1)
 
-    def test_stop_at_still_exact(self):
+    def test_stop_at_still_exact(self, backend):
         vecs = list(multiset_vectors(3, 2))
         full = kernels.max_t_clique(vecs, 2, 1)
         stopped = kernels.max_t_clique(vecs, 2, 1, stop_at=full[0])
         assert stopped[0] == full[0]
 
-    def test_orbit_ids_one_per_member(self):
+    def test_orbit_ids_one_per_member(self, backend):
         # closed rows, vertex 0 on the top bit: two vertices, no edge
         with pytest.raises(ValueError):
-            pure.branch_and_bound([0b10, 0b01], 5, 0, 1, lambda fixed, members: [0])
+            backend.branch_and_bound([0b10, 0b01], 5, 0, 1, lambda fixed, members: [0])
         # one edge: the branch on vertex 1 has the one depth-1 candidate 0
         calls = []
 
@@ -41,10 +46,10 @@ class TestBackendContracts:
             return members if not fixed else []
 
         with pytest.raises(ValueError):
-            pure.branch_and_bound([0b11, 0b11], 5, 0, 1, short_below)
+            backend.branch_and_bound([0b11, 0b11], 5, 0, 1, short_below)
         assert calls == [((), [0, 1]), ((1,), [0])]
 
-    def test_search_leaves_no_garbage(self):
+    def test_search_leaves_no_garbage(self, backend):
         # the graph must be freed on return, not when the collector next runs
         vecs = list(multiset_vectors(7, 5))
         gc.collect()
@@ -108,6 +113,7 @@ class TestAdjacency:
             assert adj[i] == _neighbours(sizes, i, 3), vecs[i]
 
 
+@BACKEND
 class TestNodeCounts:
     """Pinned branching: a faster graph build must not change the search."""
 
@@ -118,7 +124,7 @@ class TestNodeCounts:
             (9, 6, 4, 49, 206), (10, 6, 4, 55, 55),
         ],
     )
-    def test_search_to_bound(self, n, k, t, size, nodes):
+    def test_search_to_bound(self, backend, n, k, t, size, nodes):
         vecs = list(multiset_vectors(n, k))
         got, witness, explored = kernels.max_t_clique(
             vecs, k, t, stop_at=multiset_bound(n, k, t)
@@ -128,12 +134,12 @@ class TestNodeCounts:
     @pytest.mark.parametrize(
         "n,k,t,nodes", [(7, 5, 3, 518), (8, 5, 3, 2403), (8, 6, 4, 1994)]
     )
-    def test_refutation_at_bound(self, n, k, t, nodes):
+    def test_refutation_at_bound(self, backend, n, k, t, nodes):
         # without orbit pruning, as for a list that is not column-closed
         vecs = list(multiset_vectors(n, k))
         bound = multiset_bound(n, k, t)
-        adj = pure.adjacency_bitsets(vecs, k, t)
-        assert pure.branch_and_bound(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound) == (
+        adj = backend.adjacency_bitsets(vecs, k, t)
+        assert backend.branch_and_bound(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound) == (
             bound, [], nodes,
         )
 
@@ -142,7 +148,7 @@ class TestNodeCounts:
         [(7, 5, 3, 10), (8, 5, 3, 27), (8, 6, 4, 22), (10, 5, 3, 22), (9, 6, 4, 34),
          (10, 6, 4, 55)],
     )
-    def test_orbit_refutation_at_bound(self, n, k, t, nodes):
+    def test_orbit_refutation_at_bound(self, backend, n, k, t, nodes):
         vecs = list(multiset_vectors(n, k))
         bound = multiset_bound(n, k, t)
         assert kernels.max_t_clique(vecs, k, t, lower_bound=bound) == (bound, [], nodes)
@@ -152,7 +158,8 @@ class TestOrbitPruning:
     # seven of the ten 3-multisets of [3]: not closed under column permutations
     UNCLOSED = [(0, 0, 3), (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
-    def test_unclosed_list_is_not_pruned(self):
+    @BACKEND
+    def test_unclosed_list_is_not_pruned(self, backend):
         size, witness, _ = kernels.max_t_clique(self.UNCLOSED, 3, 2, lower_bound=2)
         assert size == len(witness) == 3
         assert kernels.all_pairs_at_least([self.UNCLOSED[i] for i in witness], 3, 2)
