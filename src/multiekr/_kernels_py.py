@@ -10,19 +10,21 @@ Its second pass reads each vertex's cell list from the first and carries
 the shared-cell counts over the cell prefix that consecutive vertices have
 in common; in canonical order fewer than two cells per vertex lie past it,
 on average. The rows it returns are closed and put the lowest vertex on
-the top bit; ``adjacency_bitsets`` states that layout, and the branch and
-bound reads it.
-These are the only implementations of the pair checks, the adjacency and
-the clique search; set families use the same pair check, each k-subset as a
-0/1 vector.
+the top bit; ``adjacency_bitsets`` states that layout, and the column
+orbits and the branch and bound read it.
+These are the only implementations of the pair checks, the adjacency, the
+column orbits and the clique search; set families use the same pair check,
+each k-subset as a 0/1 vector.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from itertools import accumulate, compress, count
-from operator import add
-from typing import Callable, Optional, Sequence
+from math import factorial, prod
+from operator import add, itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetError, ParameterError
 
@@ -47,17 +49,21 @@ def staircase_mask(vec: Sequence[int], k: int) -> int:
     return mask
 
 
-def all_pairs_at_least(
-    vectors: list[tuple[int, ...]], k: int, t: int
-) -> bool:
-    """min over pairs (diagonal included) of |Fi cap Fj| >= t."""
-    masks = [staircase_mask(v, k) for v in vectors]
+def _pairs_at_least(masks: list[int], t: int, region: int = -1) -> bool:
+    """min over pairs (diagonal included) of popcount(mi & mj & region) >= t."""
     for i in range(len(masks)):
-        mi = masks[i]
+        mi = masks[i] & region
         for j in range(i, len(masks)):
             if (mi & masks[j]).bit_count() < t:
                 return False
     return True
+
+
+def all_pairs_at_least(
+    vectors: list[tuple[int, ...]], k: int, t: int
+) -> bool:
+    """min over pairs (diagonal included) of |Fi cap Fj| >= t."""
+    return _pairs_at_least([staircase_mask(v, k) for v in vectors], t)
 
 
 def all_pairs_at_least_in_region(
@@ -69,13 +75,7 @@ def all_pairs_at_least_in_region(
     """min over pairs (diagonal included) of |Fi cap Fj cap region| >= t."""
     height = max(k, max(region, default=0))
     masks = [staircase_mask(v, height) for v in vectors]
-    rmask = staircase_mask(region, height)
-    for i in range(len(masks)):
-        mi = masks[i] & rmask
-        for j in range(i, len(masks)):
-            if (mi & masks[j]).bit_count() < t:
-                return False
-    return True
+    return _pairs_at_least(masks, t, staircase_mask(region, height))
 
 
 def compatible_with_all(
@@ -92,11 +92,12 @@ def compatible_with_all(
 def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[int]:
     """Closed neighbourhood rows of the t-intersection graph, lowest vertex on top.
 
-    This is the one row layout that both branch and bounds read. Row v is a
-    bit set holding vertex v itself and every vertex it t-intersects; vertex
-    w is bit ``nv - 1 - w``, so vertex 0 is the highest bit of an ``nv``-bit
-    set. The lowest vertex of a set ``s`` is then ``nv - s.bit_length()``,
-    and the int that holds a set shrinks as its lowest vertices leave.
+    This is the row layout that the column orbits and the branch and bound
+    read. Row v is a bit set holding vertex v itself and every vertex it
+    t-intersects; vertex w is bit ``nv - 1 - w``, so vertex 0 is the highest
+    bit of an ``nv``-bit set. The lowest vertex of a set ``s`` is then
+    ``nv - s.bit_length()``, and the int that holds a set shrinks as its
+    lowest vertices leave.
 
     Bit-sliced: ``level[c*k + r]`` holds the vertices whose multiplicity in
     column c exceeds r. Vertex i shares its cell (c, r) with exactly the
@@ -172,25 +173,66 @@ def _members(bits: int, nv: int) -> list[int]:
     return list(map(add, accumulate(map(len, gaps)), count(nv - bits.bit_length() - 2)))
 
 
-def _orbit_masks(members: list[int], ids: Sequence[int], nv: int) -> dict[int, int]:
-    """Per member, the ``nv``-vertex set of the members that share its orbit id.
+def column_orbits(
+    vectors: list[tuple[int, ...]],
+) -> Optional[Callable[[tuple[int, ...], int], dict[int, int]]]:
+    """Orbits of the column permutations that fix a path, as vertex sets.
 
-    Each orbit's bit set is parsed once from a string of binary digits,
-    not OR-ed together one vertex bit at a time.
+    Returns None unless every column permutation maps the list onto itself:
+    the vectors are distinct and each shape (sorted vector) occurs as often
+    as it has arrangements, checked in the O(N) pass that numbers the
+    shapes. A column permutation preserves sums of minima, so on such a
+    list it is an automorphism of every t-intersection graph.
+
+    Otherwise returns ``orbit_masks(path, cand)``. ``path`` is a tuple of
+    vertices and ``cand`` a vertex set in the layout of
+    :func:`adjacency_bitsets`; the result maps each vertex w of ``cand`` to
+    the set of the members of ``cand`` in w's orbit under the column
+    permutations that fix every vertex of ``path``. Those permutations are
+    the ones that keep each class of columns with one profile
+    ``(v[c] for v in path)``, so two vertices share an orbit exactly when
+    they have the same shape and the same multiset of values on every class
+    whose profile is not all zero, singleton classes included; the values on
+    the all-zero class follow from the shape. At the empty path the orbits
+    are the shapes. A call costs O(|cand|·|support of the path|) beyond one
+    scan of ``cand``.
     """
-    if len(ids) != len(members):
-        raise ValueError("orbits() must return one id per member")
-    groups: dict[int, list[int]] = {}
-    for w, i in zip(members, ids):
-        groups.setdefault(i, []).append(w)
-    masks: dict[int, int] = {}
-    for group in groups.values():
-        low, high = group[0], group[-1]
-        digits = bytearray(b"0") * (high - low + 1)
-        for w in group:
-            digits[w - low] = 49  # ord("1"); the lowest vertex comes first
-        masks.update(dict.fromkeys(group, int(digits, 2) << (nv - 1 - high)))
-    return masks
+    nv = len(vectors)
+    shapes: dict[tuple[int, ...], int] = {}
+    root = [shapes.setdefault(tuple(sorted(w)), len(shapes)) for w in vectors]
+    if len(set(vectors)) != nv:
+        return None
+    counts = Counter(root)
+    for shape, sid in shapes.items():
+        same = map(factorial, Counter(shape).values())
+        if counts[sid] != factorial(len(shape)) // prod(same):
+            return None
+
+    def orbit_masks(path: tuple[int, ...], cand: int) -> dict[int, int]:
+        members = _members(cand, nv)
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for c, profile in enumerate(zip(*map(vectors.__getitem__, path))):
+            if any(profile):
+                classes.setdefault(profile, []).append(c)
+        chosen = list(map(vectors.__getitem__, members))
+        keys: list[Iterable] = [map(root.__getitem__, members)]
+        for cols in classes.values():
+            values = map(itemgetter(*cols), chosen)
+            keys.append(values if len(cols) == 1 else map(tuple, map(sorted, values)))
+        orbits: dict[tuple, list[int]] = {}
+        for w, key in zip(members, zip(*keys)):
+            orbits.setdefault(key, []).append(w)
+        masks: dict[int, int] = {}
+        for orbit in orbits.values():
+            # parsed once from binary digits, not OR-ed one vertex bit at a time
+            low, high = orbit[0], orbit[-1]
+            digits = bytearray(b"0") * (high - low + 1)
+            for w in orbit:
+                digits[w - low] = 49  # ord("1"); the lowest vertex comes first
+            masks.update(dict.fromkeys(orbit, int(digits, 2) << (nv - 1 - high)))
+        return masks
+
+    return orbit_masks
 
 
 def branch_and_bound(
@@ -198,7 +240,7 @@ def branch_and_bound(
     node_budget: int,
     stop_at: int,
     lower_bound: int,
-    orbits: Optional[Callable[[tuple[int, ...], list[int]], Sequence[int]]] = None,
+    orbits: Optional[Callable[[tuple[int, ...], int], dict[int, int]]] = None,
 ) -> tuple[int, list[int], int]:
     """Exact maximum clique of the graph whose vertex i has the row adj[i].
 
@@ -214,18 +256,15 @@ def branch_and_bound(
     seeds the incumbent size without a witness; if nothing larger is found
     the returned witness list is empty.
 
-    ``orbits``, when given, prunes by symmetry at depths 0 and 1.
-    ``orbits(fixed, members)`` takes an ascending list of vertices and
-    returns one id per member: equal ids for members in the same orbit of a
-    group of graph automorphisms that fixes every vertex in the tuple
-    ``fixed``. It is called once at the root with ``()`` and all vertices,
-    and once per root branch on v with ``(v,)`` and the depth-1 candidates,
-    the neighbours of v still in the root candidate set; that candidate set
-    is a union of the orbits below v. Once the branch on v at depth 0 or 1
-    is exhausted, v's whole orbit leaves that depth's candidate set, and
-    the colour order skips the vertices that left. The size stays exact;
-    the witness is then one maximum clique, not necessarily the one the
-    plain search returns.
+    ``orbits``, when given, prunes by symmetry at depths 0 and 1. It is an
+    ``orbit_masks`` callback as :func:`column_orbits` states it, for a group
+    of graph automorphisms that maps each set it is asked about onto
+    itself. The search asks for the orbits of all vertices at the root, and
+    below each root branch on v for those of the depth-1 candidates with
+    the path ``(v,)``. Once the branch on v at depth 0 or 1 is exhausted,
+    v's whole orbit leaves that depth's candidate set, and the colour order
+    skips the vertices that left. The size stays exact; the witness is then
+    one maximum clique, not necessarily the one the plain search returns.
 
     Returns (best_size, sorted_witness, nodes). Raises BudgetError when
     more than ``node_budget`` tree nodes would be expanded.
@@ -274,8 +313,7 @@ def branch_and_bound(
             if sub:
                 below = None
                 if orbit_of is not None and len(cur) == 1:
-                    members = _members(sub, nv)
-                    below = _orbit_masks(members, orbits((v,), members), nv)
+                    below = orbits((v,), sub)
                 expand(cur, sub, below)
             elif len(cur) > state[0]:
                 state[0] = len(cur)
@@ -286,14 +324,12 @@ def branch_and_bound(
             if stop_at > 0 and state[0] >= stop_at:
                 return
 
-    root = None
-    if orbits is not None:
-        everyone = list(range(nv))
-        root = _orbit_masks(everyone, orbits((), everyone), nv)
+    everyone = (1 << nv) - 1
+    root = orbits((), everyone) if orbits is not None else None
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 2 * nv + 200))
     try:
-        expand([], (1 << nv) - 1, root)
+        expand([], everyone, root)
     finally:
         sys.setrecursionlimit(old_limit)
         del expand  # it refers to itself; without this the graph waits for gc

@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from typing import Callable, Optional
 
 from .bounds import check_compression_range, check_domain
@@ -76,17 +77,21 @@ class IntervalFamily:
     starts: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k < 1:
+        try:
+            k, p = index(self.k), index(self.p)
+            starts = tuple(sorted(set(map(index, self.starts))))
+        except TypeError as exc:
+            raise ParameterError(f"k, p and the starts must be integers: {exc}") from None
+        if k < 1:
             raise ParameterError("need k >= 1")
-        if not 1 <= self.p <= 2 * self.k:
-            raise ParameterError(f"interval length {self.p} outside 1..{2 * self.k}")
-        starts = tuple(sorted(set(int(s) for s in self.starts)))
+        if not 1 <= p <= 2 * k:
+            raise ParameterError(f"interval length {p} outside 1..{2 * k}")
         if not starts:
             raise ParameterError("an interval family needs at least one interval")
-        if starts[0] < 1 or starts[-1] + self.p - 1 > 2 * self.k:
-            raise ParameterError(
-                f"intervals of length {self.p} at {starts} leave 1..{2 * self.k}"
-            )
+        if starts[0] < 1 or starts[-1] + p - 1 > 2 * k:
+            raise ParameterError(f"intervals of length {p} at {starts} leave 1..{2 * k}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "starts", starts)
 
     def __len__(self) -> int:

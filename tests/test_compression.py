@@ -69,6 +69,15 @@ class TestIntervalFamily:
             IntervalFamily(2, 2, (4,))  # sticks out on the right
         with pytest.raises(ParameterError):
             IntervalFamily(2, 1, ())
+        # non-integers are refused, not truncated
+        with pytest.raises(ParameterError):
+            IntervalFamily(3, 2, (1.5, 2.9))
+        with pytest.raises(ParameterError):
+            IntervalFamily(3.7, 2, (1,))
+        with pytest.raises(ParameterError):
+            IntervalFamily(3, 2.0, (1,))
+        with pytest.raises(ParameterError):
+            IntervalFamily(3, 2, ("1",))
 
     def test_starts_normalized(self):
         fam = IntervalFamily(3, 2, (4, 1, 4))

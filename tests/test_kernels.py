@@ -34,21 +34,6 @@ class TestBackendContracts:
         stopped = kernels.max_t_clique(vecs, 2, 1, stop_at=full[0])
         assert stopped[0] == full[0]
 
-    def test_orbit_ids_one_per_member(self, backend):
-        # closed rows, vertex 0 on the top bit: two vertices, no edge
-        with pytest.raises(ValueError):
-            backend.branch_and_bound([0b10, 0b01], 5, 0, 1, lambda fixed, members: [0])
-        # one edge: the branch on vertex 1 has the one depth-1 candidate 0
-        calls = []
-
-        def short_below(fixed, members):
-            calls.append((fixed, list(members)))
-            return members if not fixed else []
-
-        with pytest.raises(ValueError):
-            backend.branch_and_bound([0b11, 0b11], 5, 0, 1, short_below)
-        assert calls == [((), [0, 1]), ((1,), [0])]
-
     def test_search_leaves_no_garbage(self, backend):
         # the graph must be freed on return, not when the collector next runs
         vecs = list(multiset_vectors(7, 5))
@@ -67,6 +52,26 @@ class TestBackendContracts:
 def _shared(a, b):
     """|A cap B| from the definition: the sum of coordinatewise minima."""
     return sum(map(min, a, b))
+
+
+def _orbit_sets(key, cand, nv):
+    """Per vertex w of ``cand``, the members of ``cand`` with w's key, OR-ed
+    one vertex bit at a time (vertex w at bit nv - 1 - w)."""
+    members = [w for w in range(nv) if cand >> (nv - 1 - w) & 1]
+    sets: dict = {}
+    for w in members:
+        sets[key(w)] = sets.get(key(w), 0) | 1 << (nv - 1 - w)
+    return {w: sets[key(w)] for w in members}
+
+
+def _profile_key(vecs, path):
+    """w's sorted values on each class of columns with one profile along
+    ``path``, the all-zero class included: the orbit of w under the column
+    permutations that fix the path, stated without shape ids."""
+    classes: dict = {}
+    for c in range(len(vecs[0])):
+        classes.setdefault(tuple(vecs[v][c] for v in path), []).append(c)
+    return lambda w: tuple(tuple(sorted(vecs[w][c] for c in cols)) for cols in classes.values())
 
 
 def _neighbours(sizes, i, t):
@@ -167,13 +172,11 @@ class TestOrbitPruning:
     def test_unguarded_shape_pruning_would_be_wrong(self):
         # why the guard matters: shape orbits on this list lose the answer
         adj = pure.adjacency_bitsets(self.UNCLOSED, 3, 2)
-        ids: dict = {}
-        shapes = [ids.setdefault(tuple(sorted(v)), len(ids)) for v in self.UNCLOSED]
 
-        def shape_ids(fixed, members):
-            return [shapes[w] for w in members]
+        def shape_masks(path, cand):
+            return _orbit_sets(lambda w: tuple(sorted(self.UNCLOSED[w])), cand, len(adj))
 
-        assert pure.branch_and_bound(adj, 1000, 0, 2, shape_ids)[0] == 2
+        assert pure.branch_and_bound(adj, 1000, 0, 2, shape_masks)[0] == 2
 
     def test_closure_check(self):
         for n in range(1, 6):
@@ -189,101 +192,114 @@ class TestOrbitPruning:
 
     def test_orbit_ids(self):
         vecs = list(multiset_vectors(4, 3))
-        everyone = list(range(len(vecs)))
+        nv = len(vecs)
+        bit = {w: 1 << (nv - 1 - i) for i, w in enumerate(vecs)}
         orbits = kernels.column_orbits(vecs)
-        root = orbits((), everyone)
-        assert len(set(root)) == 3  # shapes (3), (2,1), (1,1,1)
+        root = orbits((), (1 << nv) - 1)
+        assert len(set(root.values())) == 3  # shapes (3), (2,1), (1,1,1)
         assert all((root[i] == root[j]) == (sorted(a) == sorted(b))
                    for i, a in enumerate(vecs) for j, b in enumerate(vecs))
         v = vecs.index((2, 1, 0, 0))  # its stabiliser swaps the last two columns
-        below = orbits((v,), everyone)
-        assert below[vecs.index((0, 0, 1, 2))] == below[vecs.index((0, 0, 2, 1))]
+        below = orbits((v,), (1 << nv) - 1)
+        pair = bit[(0, 0, 1, 2)] | bit[(0, 0, 2, 1)]
+        assert below[vecs.index((0, 0, 1, 2))] == below[vecs.index((0, 0, 2, 1))] == pair
         assert below[vecs.index((1, 2, 0, 0))] != below[vecs.index((2, 1, 0, 0))]
-        assert len(set(below)) == 13  # (20 vectors + 6 fixed by the swap) / 2
-        # fewer members: one id each, equal exactly where the full call's are
-        members = [vecs.index(w) for w in [(0, 0, 1, 2), (0, 1, 2, 0), (0, 0, 2, 1)]]
-        few = orbits((v,), members)
-        assert len(few) == 3 and few[0] == few[2] != few[1]
-        assert orbits((), members) == [root[w] for w in members]
+        assert len(set(below.values())) == 13  # (20 vectors + 6 fixed by the swap) / 2
+        # fewer candidates: a mask each, holding the candidates of its orbit
+        cand = pair | bit[(0, 1, 2, 0)]
+        few = orbits((v,), cand)
+        assert few == {vecs.index((0, 0, 1, 2)): pair, vecs.index((0, 1, 2, 0)): bit[(0, 1, 2, 0)],
+                       vecs.index((0, 0, 2, 1)): pair}
+        assert orbits((), cand) == {w: root[w] & cand for w in few}
 
     def test_members_and_orbit_masks_match_bit_loop(self):
-        # the pure search's set readers against a loop over every vertex bit,
+        # the search's set readers against loops over every vertex bit,
         # vertex v at bit nv - 1 - v: the empty set, {0}, {nv - 1}, everyone
         rng = random.Random(61)
+
+        def sets(nv):
+            return [0, 1 << (nv - 1), 1, (1 << nv) - 1] + [rng.getrandbits(nv) for _ in range(4)]
+
         for nv in (1, 2, 63, 64, 65, 300, 3003):
-            sets = [0, 1 << (nv - 1), 1, (1 << nv) - 1]
-            sets += [rng.getrandbits(nv) for _ in range(4)]
-            for bits in sets:
+            for bits in sets(nv):
                 members = [v for v in range(nv) if bits >> (nv - 1 - v) & 1]
                 assert pure._members(bits, nv) == members, (nv, bits)
-                ids = [rng.randrange(4) for _ in members]
-                orbit = dict.fromkeys(ids, 0)
-                for w, i in zip(members, ids):
-                    orbit[i] |= 1 << (nv - 1 - w)
-                expected = {w: orbit[i] for w, i in zip(members, ids)}
-                assert pure._orbit_masks(members, ids, nv) == expected, (nv, bits)
+        # 1, 2, 70, 252 and 3003 vertices, at paths of length 0, 1 and 2
+        for n, k in ((1, 1), (2, 1), (5, 4), (6, 5), (9, 6)):
+            vecs = list(multiset_vectors(n, k))
+            nv = len(vecs)
+            orbit_masks = kernels.column_orbits(vecs)
+            for bits in sets(nv):
+                for depth in range(min(nv, 2) + 1):
+                    path = tuple(rng.sample(range(nv), depth))
+                    expected = _orbit_sets(_profile_key(vecs, path), bits, nv)
+                    assert orbit_masks(path, bits) == expected, (n, k, path, bits)
 
     @staticmethod
     def _brute_force_mismatches(column_orbits, cases, seed):
-        """Where ``column_orbits``' ids differ from the brute-force orbits.
+        """Where ``column_orbits``' masks differ from the brute-force orbits.
 
-        At the root with every vertex, and below each root vertex v with
-        every vertex and with seeded random member subsets: two members must
-        share an id exactly when a column permutation that fixes the path
-        maps one to the other.
+        At the root with every vertex, and along paths from each vertex v of
+        length 1, 2 and 3 (seeded) with every vertex and with seeded random
+        candidate sets: the masks must partition the candidates, and two
+        candidates must share a mask exactly when a column permutation that
+        fixes the path maps one to the other.
         """
         rng = random.Random(seed)
         mismatches = []
         for n, k, cap in cases:
             vecs = list(multiset_vectors(n, k, cap))
-            everyone = list(range(len(vecs)))
-            orbits = column_orbits(vecs)
+            nv = len(vecs)
+            everyone = (1 << nv) - 1
+            orbit_masks = column_orbits(vecs)
             perms = list(permutations(range(n)))
             calls = [((), everyone)]
-            for v in everyone:
-                calls.append(((v,), everyone))
-                for _ in range(3):
-                    size = rng.randint(1, len(vecs))
-                    calls.append(((v,), sorted(rng.sample(everyone, size))))
-            for fixed, members in calls:
+            for v in range(nv):
+                others = [w for w in range(nv) if w != v]
+                for depth, tries in ((1, 3), (2, 1), (3, 1)):
+                    path = (v, *rng.sample(others, depth - 1))
+                    calls.append((path, everyone))
+                    calls += [(path, rng.getrandbits(nv)) for _ in range(tries)]
+            for path, cand in calls:
                 fixing = [p for p in perms
-                          if all(tuple(vecs[f][c] for c in p) == vecs[f] for f in fixed)]
-                ids = orbits(fixed, members)
-                assert len(ids) == len(members), (n, k, cap, fixed)
+                          if all(tuple(vecs[f][c] for c in p) == vecs[f] for f in path)]
+                masks = orbit_masks(path, cand)
+                members = [w for w in range(nv) if cand >> (nv - 1 - w) & 1]
+                assert sorted(masks) == members, (n, k, cap, path)
                 chosen = {vecs[w] for w in members}
-                for a, i in zip(map(vecs.__getitem__, members), ids):
-                    same = {vecs[w] for w, j in zip(members, ids) if j == i}
-                    orbit = {tuple(a[c] for c in p) for p in fixing}
-                    if same != orbit & chosen:
-                        mismatches.append((n, k, cap, fixed, a))
+                for w in members:
+                    mask = masks[w]
+                    assert mask >> (nv - 1 - w) & 1 and not mask & ~cand, (n, k, cap, path, w)
+                    same = [u for u in members if mask >> (nv - 1 - u) & 1]
+                    assert all(masks[u] == mask for u in same), (n, k, cap, path, w)
+                    orbit = {tuple(vecs[w][c] for c in p) for p in fixing}
+                    if {vecs[u] for u in same} != orbit & chosen:
+                        mismatches.append((n, k, cap, path, vecs[w]))
         return mismatches
 
     CASES = [(4, 3, None), (5, 3, None), (4, 4, 2)]
 
     def test_orbit_ids_match_brute_force(self):
         assert self._brute_force_mismatches(kernels.column_orbits, self.CASES, 27) == []
-        orbits = kernels.column_orbits(list(multiset_vectors(4, 3)))
-        with pytest.raises(ValueError):
-            orbits((0, 1), [2, 3])
 
     def test_brute_force_catches_dropped_singleton_classes(self):
-        # the unsound key: classes of one column left out, so below v the
-        # values on v's lone columns are no longer kept apart
+        # the unsound key: classes of one column left out, so along the path
+        # the values on its lone columns are no longer kept apart
         def without_singletons(vecs):
-            root = kernels.column_orbits(vecs)((), list(range(len(vecs))))
-
-            def orbits(fixed, members):
+            def orbit_masks(path, cand):
                 classes: dict = {}
-                for c, a in enumerate(vecs[fixed[0]] if fixed else ()):
-                    if a:
-                        classes.setdefault(a, []).append(c)
-                keys = [(root[w], *(tuple(sorted(vecs[w][c] for c in cols))
-                                    for cols in classes.values() if len(cols) > 1))
-                        for w in members]
-                ids: dict = {}
-                return [ids.setdefault(key, len(ids)) for key in keys]
+                for c, profile in enumerate(zip(*(vecs[v] for v in path))):
+                    if any(profile):
+                        classes.setdefault(profile, []).append(c)
 
-            return orbits
+                def key(w):
+                    return (tuple(sorted(vecs[w])),
+                            *(tuple(sorted(vecs[w][c] for c in cols))
+                              for cols in classes.values() if len(cols) > 1))
+
+                return _orbit_sets(key, cand, len(vecs))
+
+            return orbit_masks
 
         assert self._brute_force_mismatches(without_singletons, self.CASES, 27)
 
@@ -329,18 +345,19 @@ class TestOrbitPruning:
         orbits = kernels.column_orbits(vecs)
         calls = []
 
-        def recorded(fixed, members):
-            calls.append((fixed, list(members)))
-            return orbits(fixed, members)
+        def recorded(path, cand):
+            calls.append((path, cand))
+            return orbits(path, cand)
 
         assert pure.branch_and_bound(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound, recorded) == (
             bound, [], 22,
         )
-        assert calls[0] == ((), list(range(len(vecs))))
+        top = len(adj) - 1
+        assert calls[0] == ((), (1 << len(adj)) - 1)
         assert len(calls) > 1
-        for (v,), members in calls[1:]:
-            assert members == sorted(set(members))
-            assert all(adj[v] >> (len(adj) - 1 - w) & 1 for w in members), v
+        assert len({path for path, _ in calls}) == len(calls)  # one call per root branch
+        for (v,), cand in calls[1:]:
+            assert cand and not cand & ~adj[v] and not cand >> (top - v) & 1, v
 
     def test_frontier_refutation(self):
         # the (9,6,3) upper bound: no 3-intersecting family of 190 members
