@@ -6,12 +6,15 @@ k-multiset occupies bit c*k + r, so the intersection size of two multisets
 is the popcount of the AND of their masks. The adjacency build slices the
 other way: one bit set per cell, with a bit per vertex that owns the cell,
 so each vertex finds all its neighbours at once instead of pair by pair.
-Its second pass reads each vertex's cell list from the first and carries
-the shared-cell counts over the cell prefix that consecutive vertices have
-in common; in canonical order fewer than two cells per vertex lie past it,
-on average. The rows it returns are closed and put the lowest vertex on
-the top bit; ``adjacency_bitsets`` states that layout, and the column
-orbits and the branch and bound read it.
+It takes one of two paths, chosen from the list itself. The canonical
+list of s-multisets, s >= 2, that is ``multiset_vectors(n, s, cap)`` in its
+own order as the searches pass it, is served by a walk of its multiset trie on cell sets parsed a
+column at a time, with no work per vertex beyond the bit operations of its
+row. Any other list takes the prefix-sharing pass, which reads each
+vertex's cell list and carries the shared-cell counts over the cell prefix
+that consecutive vertices have in common. Both return the same rows, closed
+and with the lowest vertex on the top bit; ``adjacency_bitsets`` states
+that layout, and the column orbits and the branch and bound read it.
 These are the only implementations of the pair checks, the adjacency, the
 column orbits and the clique search; set families use the same pair check,
 each k-subset as a 0/1 vector.
@@ -21,9 +24,9 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress, count, islice, repeat
 from math import factorial, prod
-from operator import add, itemgetter
+from operator import add, itemgetter, lt
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetError, ParameterError
@@ -89,6 +92,121 @@ def compatible_with_all(
     return True
 
 
+def _column_levels(vectors: list[tuple[int, ...]], k: int) -> Optional[list[list[int]]]:
+    """``levels[c][r]``: the vertices whose multiplicity in column c exceeds r.
+
+    A column's list runs up to its largest entry; vectors[0] is the top bit,
+    as in the rows. Each level is parsed from the column's bytes, so no
+    Python loop runs over the vertices. Returns None when an entry is not a
+    byte: above 255, or negative. Raises ParameterError when a multiplicity
+    exceeds k.
+    """
+    levels = []
+    for col in zip(*vectors):
+        try:
+            raw = bytes(col)
+        except ValueError:
+            return None
+        top = max(raw)
+        if top > k:
+            raise _too_high(top, k)
+        # the table takes a byte to b"1" when it exceeds r, else to b"0"
+        levels.append([int(raw.translate(b"0" * (r + 1) + b"1" * (255 - r)), 2)
+                       for r in range(top)])
+    return levels
+
+
+def _canonical_rows(vectors: list[tuple[int, ...]], k: int, t: int) -> Optional[list[int]]:
+    """The rows by :func:`_trie_rows` when the list is ``multiset_vectors(n,
+    s, m)`` in its own order, with s >= 2, 1 <= t <= s and m <= 255; else None.
+
+    Three checks pin the list: it is strictly ascending, it has as many
+    vectors as there are s-multisets of [n] with entries <= m, its largest
+    entry, and every vector has the sum s of the first. The cheap ones run
+    first: a list of 1-multisets fails at its first vector, before any full
+    scan.
+    """
+    from .core import count_multisets  # core imports this module
+
+    s = sum(vectors[0])
+    if s < 2 or not 1 <= t <= s:
+        return None
+    if not all(map(lt, vectors, islice(vectors, 1, None))):
+        return None
+    levels = _column_levels(vectors, k)
+    if levels is None:
+        return None
+    nv = len(vectors)
+    m = max(map(len, levels))
+    if nv != count_multisets(len(levels), s, m) or not _all_of_size(levels, nv, s):
+        return None
+    rows = _trie_rows(levels, nv, s, m, t)
+    rows.reverse()
+    return rows
+
+
+def _all_of_size(levels: list[list[int]], nv: int, s: int) -> bool:
+    """Every vertex lies in exactly s levels: every vector has the sum s.
+
+    Counted bit-sliced, a cell at a time, as the rows are: ``at_least[q]``
+    holds the vertices in at least q of the levels read so far.
+    """
+    at_least = [(1 << nv) - 1] + [0] * (s + 1)
+    for col in levels:
+        for cell in col:
+            for q in range(s + 1, 0, -1):
+                at_least[q] |= at_least[q - 1] & cell
+    return at_least[s] == at_least[0] and not at_least[s + 1]
+
+
+def _trie_rows(levels: list[list[int]], nv: int, s: int, m: int, t: int) -> list[int]:
+    """The rows of ``multiset_vectors(n, s, m)``, its last vector first.
+
+    Walks the trie of the sorted element tuples of the s-multisets of [n]
+    with entries <= m, depth first; its leaves, in order, are the list read
+    backwards, so the i-th leaf is bit i. A node at depth j holds, for the
+    j cells of its prefix, the rows R[q] of the vertices that share at least
+    q of them, for q in the window [t - (s - j), min(j, t)]: fewer could not
+    reach t with the cells left, and more are not needed. R[q] is every
+    vertex for q <= 0. The child that adds the cell (e, r), which
+    ``levels[e][r]`` holds, takes ``R[q] | (R[q - 1] & levels[e][r])``.
+    The last two levels are inlined: the leaves of a depth s - 1 node come
+    from one comprehension over the columns after its last element.
+    """
+    n = len(levels)
+    first = [col[0] for col in levels]
+    out: list[int] = []
+    emit = out.append
+    # (depth, last element, its count, window); the root has no last element
+    stack = [(0, -1, m, [(1 << nv) - 1] * (s - t + 1))]
+    while stack:
+        j, p, c, rows = stack.pop()
+        left = s - j - 1  # the cells after a child's
+        # the children in order, p once more and then each larger element,
+        # those whose column and the later ones have room for the cells left
+        kids = [(p, c + 1, levels[p][c])] if c < m and m * (n - p) - c - 1 >= left else []
+        stop = n - left // m
+        kids += zip(range(p + 1, stop), repeat(1), first[p + 1:stop])
+        if j + 2 < s:
+            widen = j < t
+            for e, ce, cell in reversed(kids):
+                nxt = [a | (b & cell) for a, b in zip(rows[1:], rows)]
+                if widen:
+                    nxt.append(rows[-1] & cell)
+                stack.append((j + 1, e, ce, nxt))
+            continue
+        # depth s - 2: the window is R[t - 2], R[t - 1], R[t], padded with
+        # the empty sets for q > s - 2; a child needs R[t - 1] and R[t]
+        r0, r1, r2 = (rows + [0, 0])[:3]
+        for e, ce, cell in kids:
+            at_least_t = r2 | (r1 & cell)
+            one_short = r1 | (r0 & cell)
+            if ce < m:
+                emit(at_least_t | (one_short & levels[e][ce]))
+            out += [at_least_t | (one_short & cell) for cell in first[e + 1:]]
+    return out
+
+
 def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[int]:
     """Closed neighbourhood rows of the t-intersection graph, lowest vertex on top.
 
@@ -97,26 +215,37 @@ def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[in
     t-intersects; vertex w is bit ``nv - 1 - w``, so vertex 0 is the highest
     bit of an ``nv``-bit set. The lowest vertex of a set ``s`` is then
     ``nv - s.bit_length()``, and the int that holds a set shrinks as its
-    lowest vertices leave.
+    lowest vertices leave. Both paths below return this layout.
 
-    Bit-sliced: ``level[c*k + r]`` holds the vertices whose multiplicity in
-    column c exceeds r. Vertex i shares its cell (c, r) with exactly the
-    vertices in that level, so a count over i's own cells of "at least s
-    shared cells" gives its neighbours with whole-graph bit operations.
+    Bit-sliced: the level of the cell (c, r) holds the vertices whose
+    multiplicity in column c exceeds r. Vertex i shares that cell with
+    exactly the vertices in its level, so a count over i's own cells of "at
+    least q shared cells" gives its neighbours with whole-graph bit
+    operations.
 
-    The first pass fills the levels and records each vertex's cells in
-    column order, from the last vertex to the first, so that the i-th vertex
-    read is bit i. The second pass keeps the counts row by row: the row
-    after a vertex's first j cells depends on those cells alone, so a
-    vertex takes over the rows of the longest cell prefix it shares with
-    the vertex before it. Read backwards, canonical order shares the same
-    prefixes, which leaves 1 to 1.7 new cells per vertex on average (1.6 at
-    n = 10, k = 6); any order gives the same result. Raises ParameterError
-    when a multiplicity exceeds k.
+    The canonical list, ``multiset_vectors(n, s, cap)`` in its own order,
+    as every search in the package passes it, takes a walk of its multiset
+    trie (:func:`_trie_rows`), on levels built a column at a time; there is
+    no work per vertex beyond its row's two bit operations.
+    :func:`_canonical_rows` recognises the list from the vectors themselves
+    and states what it accepts.
+
+    Any other list takes the prefix-sharing pass: shuffled or with members
+    missing or repeated, mixed sizes, 1-multisets, t outside [1, s], and
+    entries above 255. Its first pass fills the levels and records each
+    vertex's cells in column order, from the last vertex to the first, so
+    that the i-th vertex read is bit i. The second pass keeps the counts row
+    by row: the row after a vertex's first j cells depends on those cells
+    alone, so a vertex takes over the rows of the longest cell prefix it
+    shares with the vertex before it. Raises ParameterError when a
+    multiplicity exceeds k.
     """
     nv = len(vectors)
     if nv == 0:
         return []
+    adj = _canonical_rows(vectors, k, t)
+    if adj is not None:
+        return adj
     columns = range(len(vectors[0]))
     level = [0] * (len(columns) * k)
     cell_lists = []

@@ -4,7 +4,10 @@ Each has one implementation, in pure Python (``multiekr._kernels_py``);
 multiset and set families alike go through the same pair predicates.
 ``max_t_clique`` builds the rows that ``_kernels_py.adjacency_bitsets``
 lays out and runs ``_kernels_py.branch_and_bound`` on them; a refutation
-also prunes by the column orbits of ``_kernels_py.column_orbits``.
+also prunes by the column orbits of ``_kernels_py.column_orbits``. The
+canonical list that the searches pass has its rows built by a walk of its
+multiset trie, any other list by the prefix-sharing pass; the rows and
+their layout are the same either way.
 """
 
 from __future__ import annotations

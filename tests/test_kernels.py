@@ -82,16 +82,26 @@ def _neighbours(sizes, i, t):
 
 class TestAdjacency:
     def test_matches_pairwise_definition(self):
-        for n in range(1, 8):
-            for k in range(1, 6):
-                for cap in (None, 1, 2):
-                    vecs = list(multiset_vectors(n, k, cap))
-                    sizes = [[_shared(a, b) for b in vecs] for a in vecs]
-                    for t in range(1, k + 1):
-                        expected = [_neighbours(row, i, t) for i, row in enumerate(sizes)]
-                        assert pure.adjacency_bitsets(vecs, k, t) == expected, (
-                            n, k, cap, t,
-                        )
+        # canonical lists of 2-multisets and up take the trie walk; each near
+        # miss breaks one check that selects it, and entries above a byte
+        # cannot be parsed as bytes: those take the prefix-sharing pass
+        cases = [(list(multiset_vectors(n, k, cap)), k, range(1, k + 1), k > 1)
+                 for n in range(1, 8) for k in range(1, 6) for cap in (None, 1, 2)]
+        vecs = list(multiset_vectors(5, 4))
+        # vecs[1] = (0, 0, 0, 1, 3) resized to 3 and to 5, still between its neighbours
+        resized = [vecs[:1] + [other] + vecs[2:] for other in ((0, 0, 0, 1, 2), (0, 0, 0, 1, 4))]
+        repeated = vecs[:6] + vecs[5:6] + vecs[7:]
+        for near_miss in (vecs[:-1], *resized, repeated):
+            cases.append((near_miss, 4, range(1, 5), False))
+        cases.append((list(multiset_vectors(2, 300)), 300, (1, 256, 299), False))
+        for vecs, k, ts, walks in cases:
+            sizes = [[_shared(a, b) for b in vecs] for a in vecs]
+            for t in ts:
+                expected = [_neighbours(row, i, t) for i, row in enumerate(sizes)]
+                assert pure.adjacency_bitsets(vecs, k, t) == expected, (vecs[:3], k, t)
+                if vecs:
+                    walked = pure._canonical_rows(vecs, k, t) is not None
+                    assert walked == walks, (vecs[:3], k, t)
 
     def test_any_vertex_order(self):
         # rows are reused along shared cell prefixes; out of canonical order
@@ -109,13 +119,15 @@ class TestAdjacency:
                     assert pure.adjacency_bitsets(vecs, k, t) == expected, (vecs[:3], t)
 
     def test_matches_pairwise_definition_at_9_6_3(self):
-        # 3003 vertices: a seeded sample of rows keeps the definition cheap
-        vecs = list(multiset_vectors(9, 6))
-        adj = pure.adjacency_bitsets(vecs, 6, 3)
-        assert len(adj) == 3003
-        for i in random.Random(963).sample(range(len(vecs)), 60):
-            sizes = [_shared(vecs[i], other) for other in vecs]
-            assert adj[i] == _neighbours(sizes, i, 3), vecs[i]
+        # 3003 and 5005 vertices, (10,6,4) the largest frontier point: a
+        # seeded sample of rows keeps the definition cheap
+        for n, k, t in ((9, 6, 3), (10, 6, 4)):
+            vecs = list(multiset_vectors(n, k))
+            adj = pure.adjacency_bitsets(vecs, k, t)
+            assert len(adj) == len(vecs)
+            for i in random.Random(963).sample(range(len(vecs)), 60):
+                sizes = [_shared(vecs[i], other) for other in vecs]
+                assert adj[i] == _neighbours(sizes, i, t), (n, k, t, vecs[i])
 
 
 @BACKEND
