@@ -3,33 +3,43 @@
 Python integers serve as bit sets in two ways. The pair predicates pack each
 multiplicity vector into a staircase mask: the cell (column c, row r) of a
 k-multiset occupies bit c*k + r, so the intersection size of two multisets
-is the popcount of the AND of their masks. The adjacency build slices the
-other way: one bit set per cell, with a bit per vertex that owns the cell,
-so each vertex finds all its neighbours at once instead of pair by pair.
-It takes one of two paths, chosen from the list itself. The canonical
-list of s-multisets, s >= 2, that is ``multiset_vectors(n, s, cap)`` in its
-own order as the searches pass it, is served by a walk of its multiset trie on cell sets parsed a
-column at a time, with no work per vertex beyond the bit operations of its
-row. Any other list takes the prefix-sharing pass, which reads each
-vertex's cell list and carries the shared-cell counts over the cell prefix
-that consecutive vertices have in common. Both return the same rows, closed
+is the popcount of the AND of their masks. The adjacency build and the
+column orbits slice the other way: the column levels, one bit set per cell
+with a bit per vertex that owns the cell. :func:`_column_levels` reads them
+from the whole list at once, as one byte string, with no Python work per
+vertex; ``kernels.max_t_clique`` reads them once per refutation and hands
+the same levels to both.
+
+On the levels, each vertex finds all its neighbours at once instead of
+pair by pair. The adjacency build takes one of two paths, chosen from the
+list itself. The canonical list of s-multisets, s >= 2, that is
+``multiset_vectors(n, s, cap)`` in its own order as the searches pass it,
+is served by a walk of its multiset trie, with no work per vertex beyond
+the bit operations of its row. Any other list, 1-multisets included, takes
+the prefix-sharing pass, which reads each vertex's cell list and carries
+the shared-cell counts over the cell prefix that consecutive vertices have
+in common; it does not read the levels. Both return the same rows, closed
 and with the lowest vertex on the top bit; ``adjacency_bitsets`` states
-that layout, and the column orbits and the branch and bound read it.
+that layout, and the column orbits and the branch and bound read it. The
+shape classes of the column orbits come from counting the levels
+bit-sliced, by the same counter that checks the walk's vector sums.
+
 These are the only implementations of the pair checks, the adjacency, the
 column orbits and the clique search; set families use the same pair check,
-each k-subset as a 0/1 vector.
+each k-subset as a 0/1 vector. The adjacency build and the column orbits
+raise DimensionError when the vectors differ in length.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from math import factorial, prod
 from operator import add, itemgetter, lt
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, DimensionError, ParameterError
 
 
 def _too_high(v: int, k: int) -> ParameterError:
@@ -92,39 +102,85 @@ def compatible_with_all(
     return True
 
 
-def _column_levels(vectors: list[tuple[int, ...]], k: int) -> Optional[list[list[int]]]:
-    """``levels[c][r]``: the vertices whose multiplicity in column c exceeds r.
+def _width(vectors: list[tuple[int, ...]]) -> int:
+    """The vectors' common length; raises DimensionError when they differ.
 
-    A column's list runs up to its largest entry; vectors[0] is the top bit,
-    as in the rows. Each level is parsed from the column's bytes, so no
-    Python loop runs over the vertices. Returns None when an entry is not a
-    byte: above 255, or negative. Raises ParameterError when a multiplicity
-    exceeds k.
+    A column that only some vectors have would be read as theirs alone,
+    not as the zero that the others hold there.
     """
+    widths = set(map(len, vectors))
+    if len(widths) > 1:
+        raise DimensionError(f"vectors of different lengths {sorted(widths)}")
+    return widths.pop() if widths else 0
+
+
+def _column_levels(vectors: list[tuple[int, ...]], k: int) -> Optional[list[list[int]]]:
+    """``levels[c][r]``: the vertices whose entry in column c is above r.
+
+    The list is read once, as one byte string with a vector every n bytes,
+    so a column is every n-th byte from its offset. A column's list runs
+    up to its largest entry, and vectors[0] is the top bit, as in the rows.
+    Each level is parsed from the column's bytes, so no Python loop runs
+    over the vertices. Returns None when an entry is not a byte: above 255,
+    or negative. Raises ParameterError when an entry exceeds k and
+    DimensionError when the vectors differ in length.
+    """
+    n = _width(vectors)
+    try:
+        raw = bytearray(chain.from_iterable(vectors))
+    except ValueError:
+        return None
+    if k < 255:
+        above = raw.translate(None, bytes(range(k + 1)))
+        if above:
+            raise _too_high(max(above), k)
     levels = []
-    for col in zip(*vectors):
-        try:
-            raw = bytes(col)
-        except ValueError:
-            return None
-        top = max(raw)
-        if top > k:
-            raise _too_high(top, k)
-        # the table takes a byte to b"1" when it exceeds r, else to b"0"
-        levels.append([int(raw.translate(b"0" * (r + 1) + b"1" * (255 - r)), 2)
-                       for r in range(top)])
+    for c in range(n):
+        col = raw[c::n]
+        ranks = []
+        for r in range(min(k, 255)):
+            # the table takes a byte to b"1" when it exceeds r, else to b"0"
+            level = int(col.translate(b"0" * (r + 1) + b"1" * (255 - r)), 2)
+            if not level:  # the levels shrink as r grows
+                break
+            ranks.append(level)
+        levels.append(ranks)
     return levels
 
 
-def _canonical_rows(vectors: list[tuple[int, ...]], k: int, t: int) -> Optional[list[int]]:
+def _tally(sets: Iterable[int]) -> list[int]:
+    """How many of the sets hold each vertex, as bit slices.
+
+    ``bits[i]`` holds the vertices whose count has bit i set. Each set is
+    added with a ripple carry, so no vertex is read on its own.
+    """
+    bits: list[int] = []
+    for carry in sets:
+        for i, bit in enumerate(bits):
+            bits[i] = bit ^ carry
+            carry &= bit
+            if not carry:
+                break
+        else:
+            if carry:
+                bits.append(carry)
+    return bits
+
+
+def _canonical_rows(
+    vectors: list[tuple[int, ...]],
+    k: int,
+    t: int,
+    levels: Optional[list[list[int]]] = None,
+) -> Optional[list[int]]:
     """The rows by :func:`_trie_rows` when the list is ``multiset_vectors(n,
     s, m)`` in its own order, with s >= 2, 1 <= t <= s and m <= 255; else None.
 
     Three checks pin the list: it is strictly ascending, it has as many
     vectors as there are s-multisets of [n] with entries <= m, its largest
     entry, and every vector has the sum s of the first. The cheap ones run
-    first: a list of 1-multisets fails at its first vector, before any full
-    scan.
+    first: a list of 1-multisets fails at its first vector, before its
+    levels are read, if the caller has not read them already.
     """
     from .core import count_multisets  # core imports this module
 
@@ -133,9 +189,10 @@ def _canonical_rows(vectors: list[tuple[int, ...]], k: int, t: int) -> Optional[
         return None
     if not all(map(lt, vectors, islice(vectors, 1, None))):
         return None
-    levels = _column_levels(vectors, k)
     if levels is None:
-        return None
+        levels = _column_levels(vectors, k)
+        if levels is None:
+            return None
     nv = len(vectors)
     m = max(map(len, levels))
     if nv != count_multisets(len(levels), s, m) or not _all_of_size(levels, nv, s):
@@ -146,17 +203,12 @@ def _canonical_rows(vectors: list[tuple[int, ...]], k: int, t: int) -> Optional[
 
 
 def _all_of_size(levels: list[list[int]], nv: int, s: int) -> bool:
-    """Every vertex lies in exactly s levels: every vector has the sum s.
-
-    Counted bit-sliced, a cell at a time, as the rows are: ``at_least[q]``
-    holds the vertices in at least q of the levels read so far.
-    """
-    at_least = [(1 << nv) - 1] + [0] * (s + 1)
-    for col in levels:
-        for cell in col:
-            for q in range(s + 1, 0, -1):
-                at_least[q] |= at_least[q - 1] & cell
-    return at_least[s] == at_least[0] and not at_least[s + 1]
+    """Every vertex lies in exactly s levels: every vector has the sum s."""
+    bits = _tally(chain.from_iterable(levels))
+    if s >> len(bits):
+        return False
+    everyone = (1 << nv) - 1
+    return all(bit == (everyone if s >> i & 1 else 0) for i, bit in enumerate(bits))
 
 
 def _trie_rows(levels: list[list[int]], nv: int, s: int, m: int, t: int) -> list[int]:
@@ -207,7 +259,12 @@ def _trie_rows(levels: list[list[int]], nv: int, s: int, m: int, t: int) -> list
     return out
 
 
-def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[int]:
+def adjacency_bitsets(
+    vectors: list[tuple[int, ...]],
+    k: int,
+    t: int,
+    levels: Optional[list[list[int]]] = None,
+) -> list[int]:
     """Closed neighbourhood rows of the t-intersection graph, lowest vertex on top.
 
     This is the row layout that the column orbits and the branch and bound
@@ -225,10 +282,11 @@ def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[in
 
     The canonical list, ``multiset_vectors(n, s, cap)`` in its own order,
     as every search in the package passes it, takes a walk of its multiset
-    trie (:func:`_trie_rows`), on levels built a column at a time; there is
-    no work per vertex beyond its row's two bit operations.
-    :func:`_canonical_rows` recognises the list from the vectors themselves
-    and states what it accepts.
+    trie (:func:`_trie_rows`) on the column levels; there is no work per
+    vertex beyond its row's two bit operations. ``levels`` are the levels
+    as :func:`_column_levels` reads them, when the caller has them; else
+    they are read here, once the cheap checks of :func:`_canonical_rows`,
+    which recognises the list from the vectors themselves, have passed.
 
     Any other list takes the prefix-sharing pass: shuffled or with members
     missing or repeated, mixed sizes, 1-multisets, t outside [1, s], and
@@ -238,15 +296,16 @@ def adjacency_bitsets(vectors: list[tuple[int, ...]], k: int, t: int) -> list[in
     by row: the row after a vertex's first j cells depends on those cells
     alone, so a vertex takes over the rows of the longest cell prefix it
     shares with the vertex before it. Raises ParameterError when a
-    multiplicity exceeds k.
+    multiplicity exceeds k and DimensionError when the vectors differ in
+    length.
     """
     nv = len(vectors)
     if nv == 0:
         return []
-    adj = _canonical_rows(vectors, k, t)
+    adj = _canonical_rows(vectors, k, t, levels)
     if adj is not None:
         return adj
-    columns = range(len(vectors[0]))
+    columns = range(_width(vectors))
     level = [0] * (len(columns) * k)
     cell_lists = []
     for i, vec in enumerate(reversed(vectors)):
@@ -304,14 +363,26 @@ def _members(bits: int, nv: int) -> list[int]:
 
 def column_orbits(
     vectors: list[tuple[int, ...]],
+    levels: Optional[list[list[int]]] = None,
 ) -> Optional[Callable[[tuple[int, ...], int], dict[int, int]]]:
     """Orbits of the column permutations that fix a path, as vertex sets.
 
-    Returns None unless every column permutation maps the list onto itself:
-    the vectors are distinct and each shape (sorted vector) occurs as often
-    as it has arrangements, checked in the O(N) pass that numbers the
-    shapes. A column permutation preserves sums of minima, so on such a
-    list it is an automorphism of every t-intersection graph.
+    ``levels`` are the list's column levels as :func:`_column_levels` reads
+    them; they are read here when not given. Returns None unless every
+    column permutation maps the list onto itself: the vectors are distinct
+    and each shape (sorted vector) occurs as often as it has arrangements.
+    A column permutation preserves sums of minima, so on such a list it is
+    an automorphism of every t-intersection graph. Also returns None, and
+    so prunes nothing, when an entry does not fit in a byte (above 255, or
+    negative): no pruning is always sound. An empty list is closed. Raises
+    DimensionError when the vectors differ in length.
+
+    The shapes are found bit-sliced, with no Python work per vertex: the
+    number of columns whose entry is above r is the (r+1)-th part of the
+    conjugate of a vertex's shape, so counting the levels ``levels[c][r]``
+    over c, for each r, splits the vertices into their shape classes. Each
+    class's count is then one popcount, and one set of the vectors shows
+    that they are distinct.
 
     Otherwise returns ``orbit_masks(path, cand)``. ``path`` is a tuple of
     vertices and ``cand`` a vertex set in the layout of
@@ -323,28 +394,48 @@ def column_orbits(
     they have the same shape and the same multiset of values on every class
     whose profile is not all zero, singleton classes included; the values on
     the all-zero class follow from the shape. At the empty path the orbits
-    are the shapes. A call costs O(|cand|·|support of the path|) beyond one
-    scan of ``cand``.
+    are the shape classes, cut to ``cand``. A longer path costs
+    O(|cand|·|support of the path|) beyond one scan of ``cand``.
     """
+    if levels is None:
+        levels = _column_levels(vectors, k=255)
+        if levels is None:
+            return None
     nv = len(vectors)
-    shapes: dict[tuple[int, ...], int] = {}
-    root = [shapes.setdefault(tuple(sorted(w)), len(shapes)) for w in vectors]
+    shapes = [(1 << nv) - 1] if nv else []
+    for r in range(max(map(len, levels), default=0)):
+        for bit in _tally(col[r] for col in levels if len(col) > r):
+            shapes = [part for cls in shapes for part in (cls & bit, cls & ~bit) if part]
+    for cls in shapes:
+        shape = vectors[nv - cls.bit_length()]
+        same = map(factorial, Counter(shape).values())
+        if cls.bit_count() != factorial(len(shape)) // prod(same):
+            return None
     if len(set(vectors)) != nv:
         return None
-    counts = Counter(root)
-    for shape, sid in shapes.items():
-        same = map(factorial, Counter(shape).values())
-        if counts[sid] != factorial(len(shape)) // prod(same):
-            return None
+    # each vertex's shape index, a base-256 digit at a time: the binary
+    # digits of a class translate to that digit of its index at its members
+    shape_of: list[int] = []
+    for d in range(0, max(len(shapes) - 1, 1).bit_length(), 8):
+        acc = 0
+        for sid, cls in enumerate(shapes):
+            table = bytes.maketrans(b"01", bytes((0, sid >> d & 255)))
+            acc |= int.from_bytes(format(cls, f"0{nv}b").encode().translate(table), "big")
+        digit = acc.to_bytes(nv, "big")
+        shape_of = list(map(add, shape_of, map((1 << d).__mul__, digit))) if d else list(digit)
 
     def orbit_masks(path: tuple[int, ...], cand: int) -> dict[int, int]:
         members = _members(cand, nv)
+        sids = map(shape_of.__getitem__, members)
+        if not path:
+            parts = [cls & cand for cls in shapes]
+            return dict(zip(members, map(parts.__getitem__, sids)))
         classes: dict[tuple[int, ...], list[int]] = {}
         for c, profile in enumerate(zip(*map(vectors.__getitem__, path))):
             if any(profile):
                 classes.setdefault(profile, []).append(c)
         chosen = list(map(vectors.__getitem__, members))
-        keys: list[Iterable] = [map(root.__getitem__, members)]
+        keys: list[Iterable] = [sids]
         for cols in classes.values():
             values = map(itemgetter(*cols), chosen)
             keys.append(values if len(cols) == 1 else map(tuple, map(sorted, values)))

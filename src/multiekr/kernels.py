@@ -4,10 +4,11 @@ Each has one implementation, in pure Python (``multiekr._kernels_py``);
 multiset and set families alike go through the same pair predicates.
 ``max_t_clique`` builds the rows that ``_kernels_py.adjacency_bitsets``
 lays out and runs ``_kernels_py.branch_and_bound`` on them; a refutation
-also prunes by the column orbits of ``_kernels_py.column_orbits``. The
-canonical list that the searches pass has its rows built by a walk of its
-multiset trie, any other list by the prefix-sharing pass; the rows and
-their layout are the same either way.
+also prunes by the column orbits of ``_kernels_py.column_orbits``, and
+reads the list's column levels once for both. The canonical list that the
+searches pass has its rows built by a walk of its multiset trie, any other
+list by the prefix-sharing pass; the rows and their layout are the same
+either way.
 """
 
 from __future__ import annotations
@@ -44,13 +45,23 @@ def max_t_clique(
     (found only when the maximum exceeds ``lower_bound``) may differ from
     the plain search's.
 
+    A refutation (``lower_bound`` > 0) reads the list's column levels once,
+    here, and passes them to both the adjacency build and the column
+    orbits; a list whose entries do not fit in a byte has no levels, and
+    its refutation no orbit pruning. Any other search leaves the levels to
+    the adjacency build, which reads them only for the canonical list of
+    s-multisets, s >= 2, so a find on 1-multisets never reads them.
+
     Returns (best_size, witness_indices, nodes). Raises BudgetError when
-    more than ``node_budget`` tree nodes would be expanded.
+    more than ``node_budget`` tree nodes would be expanded, ParameterError
+    when an entry exceeds k and DimensionError when the vectors differ in
+    length.
     """
     if not vectors:
         return 0, [], 0
-    adj = _kernels_py.adjacency_bitsets(vectors, k, t)
-    orbits = column_orbits(vectors) if lower_bound > 0 else None
+    levels = _kernels_py._column_levels(vectors, k) if lower_bound > 0 else None
+    adj = _kernels_py.adjacency_bitsets(vectors, k, t, levels)
+    orbits = column_orbits(vectors, levels) if levels is not None else None
     return _kernels_py.branch_and_bound(adj, node_budget, stop_at, lower_bound, orbits)
 
 

@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from multiekr import BudgetError, ParameterError, multiset_vectors
+from multiekr import BudgetError, DimensionError, ParameterError, multiset_vectors
 from multiekr import _kernels_py as pure
 from multiekr import kernels
 from multiekr.bounds import multiset_bound
@@ -118,6 +118,46 @@ class TestAdjacency:
                     expected = [_neighbours(row, i, t) for i, row in enumerate(sizes)]
                     assert pure.adjacency_bitsets(vecs, k, t) == expected, (vecs[:3], t)
 
+    def test_ragged_list_raises(self):
+        # a column that only some vectors have is no zero for the others:
+        # padded, the last two share the third column's cell, so the answer
+        # is 2, where reading only len(vectors[0]) columns gave 1
+        ragged = [(1, 0), (0, 1, 1), (0, 0, 2)]
+        walkable = [(0, 2), (1, 1, 0), (2, 0)]  # s = 2, ascending: reaches the levels
+        for vecs in (ragged, walkable):
+            with pytest.raises(DimensionError):
+                pure.adjacency_bitsets(vecs, 2, 1)
+            with pytest.raises(DimensionError):
+                kernels.column_orbits(vecs)
+            for lower_bound in (0, 1):
+                with pytest.raises(DimensionError):
+                    kernels.max_t_clique(vecs, 2, 1, lower_bound=lower_bound)
+        padded = [(1, 0, 0), (0, 1, 1), (0, 0, 2)]
+        assert kernels.max_t_clique(padded, 2, 1)[0] == 2
+
+    def test_levels_read_once(self, monkeypatch):
+        # a refutation reads the list's levels once for the rows and the
+        # orbits; a find reads them only where the trie walk takes the list,
+        # so the wide 1-multiset lists of the sharpness grid are never read
+        reads = []
+        column_levels = pure._column_levels
+
+        def counted(vectors, k):
+            reads.append(len(vectors))
+            return column_levels(vectors, k)
+
+        monkeypatch.setattr(pure, "_column_levels", counted)
+        vecs = list(multiset_vectors(8, 5))
+        bound = multiset_bound(8, 5, 3)
+        assert kernels.max_t_clique(vecs, 5, 3, lower_bound=bound) == (bound, [], 27)
+        assert reads == [len(vecs)]
+        assert kernels.max_t_clique(vecs, 5, 3, stop_at=bound)[0] == bound
+        assert reads == [len(vecs)] * 2
+        reads.clear()
+        wide = list(multiset_vectors(492, 1))
+        assert kernels.max_t_clique(wide, 1, 1)[0] == 1
+        assert reads == []
+
     def test_matches_pairwise_definition_at_9_6_3(self):
         # 3003 and 5005 vertices, (10,6,4) the largest frontier point: a
         # seeded sample of rows keeps the definition cheap
@@ -201,6 +241,10 @@ class TestOrbitPruning:
         for i in range(len(vecs)):
             assert kernels.column_orbits(vecs[:i] + vecs[i + 1:]) is None, vecs[i]
         assert kernels.column_orbits(vecs + vecs[:1]) is None
+        # the empty list is closed, and has no vertex to map
+        assert kernels.column_orbits([])((), 0) == {}
+        # closed, but an entry above a byte: no levels, so no pruning
+        assert kernels.column_orbits(list(multiset_vectors(2, 300))) is None
 
     def test_orbit_ids(self):
         vecs = list(multiset_vectors(4, 3))
@@ -247,20 +291,33 @@ class TestOrbitPruning:
                     expected = _orbit_sets(_profile_key(vecs, path), bits, nv)
                     assert orbit_masks(path, bits) == expected, (n, k, path, bits)
 
+    def test_more_shapes_than_a_byte_numbers(self):
+        # 276 shapes {a, b}: each vertex's shape index takes two base-256 digits
+        vecs = [(a, b) for a in range(23) for b in range(23)]
+        nv = len(vecs)
+        orbit_masks = kernels.column_orbits(vecs)
+        for path in ((), (vecs.index((3, 3)),), (vecs.index((3, 4)),)):
+            for cand in ((1 << nv) - 1, random.Random(len(path)).getrandbits(nv)):
+                expected = _orbit_sets(_profile_key(vecs, path), cand, nv)
+                assert orbit_masks(path, cand) == expected, path
+
     @staticmethod
-    def _brute_force_mismatches(column_orbits, cases, seed):
+    def _brute_force_mismatches(column_orbits, cases, seed, shuffle=False):
         """Where ``column_orbits``' masks differ from the brute-force orbits.
 
         At the root with every vertex, and along paths from each vertex v of
         length 1, 2 and 3 (seeded) with every vertex and with seeded random
         candidate sets: the masks must partition the candidates, and two
         candidates must share a mask exactly when a column permutation that
-        fixes the path maps one to the other.
+        fixes the path maps one to the other. ``shuffle`` puts each list in
+        a seeded order first, so it is closed but not ascending.
         """
         rng = random.Random(seed)
         mismatches = []
         for n, k, cap in cases:
             vecs = list(multiset_vectors(n, k, cap))
+            if shuffle:
+                rng.shuffle(vecs)
             nv = len(vecs)
             everyone = (1 << nv) - 1
             orbit_masks = column_orbits(vecs)
@@ -293,6 +350,11 @@ class TestOrbitPruning:
 
     def test_orbit_ids_match_brute_force(self):
         assert self._brute_force_mismatches(kernels.column_orbits, self.CASES, 27) == []
+
+    def test_orbit_ids_match_brute_force_off_canonical_order(self):
+        # the shape classes come from the levels, not from the list's order
+        assert self._brute_force_mismatches(
+            kernels.column_orbits, [(5, 3, None), (4, 4, 2)], 5, shuffle=True) == []
 
     def test_brute_force_catches_dropped_singleton_classes(self):
         # the unsound key: classes of one column left out, so along the path
