@@ -3,39 +3,38 @@
 Python integers serve as bit sets in two ways. The pair predicates pack each
 multiplicity vector into a staircase mask: the cell (column c, row r) of a
 k-multiset occupies bit c*k + r, so the intersection size of two multisets
-is the popcount of the AND of their masks. The adjacency build and the
-column orbits slice the other way: the column levels, one bit set per cell
-with a bit per vertex that owns the cell. :func:`_column_levels` reads them
-from the whole list at once, as one byte string, with no Python work per
-vertex; ``kernels.max_t_clique`` reads them once per refutation and hands
-the same levels to both.
+is the popcount of the AND of their masks. The trie walk and the column
+orbits slice the other way: the column levels, one bit set per cell with a
+bit per vertex that owns the cell. :func:`_column_levels` reads them from
+the whole list at once, as one byte string, with no Python work per vertex.
 
-On the levels, each vertex finds all its neighbours at once instead of
-pair by pair. The adjacency build takes one of two paths, chosen from the
-list itself. The canonical list of s-multisets, s >= 2, that is
-``multiset_vectors(n, s, cap)`` in its own order as the searches pass it,
-is served by a walk of its multiset trie, with no work per vertex beyond
-the bit operations of its row. Any other list, 1-multisets included, takes
-the prefix-sharing pass, which reads each vertex's cell list and carries
-the shared-cell counts over the cell prefix that consecutive vertices have
-in common; it does not read the levels. Both return the same rows, closed
-and with the lowest vertex on the top bit; ``adjacency_bitsets`` states
-that layout, and the column orbits and the branch and bound read it. The
-shape classes of the column orbits come from counting the levels
-bit-sliced, by the same counter that checks the walk's vector sums.
+One decision picks the work. :func:`_canonical_levels` recognises the
+canonical list, ``multiset_vectors(n, s, cap)`` in its own order with
+s >= 1, as every search in the package passes it, and returns its levels;
+for any other list it returns None. ``kernels.max_t_clique`` asks once and
+hands the answer to ``adjacency_bitsets`` and, in a refutation, to the
+orbits. ``adjacency_bitsets`` has two row builders: it walks the canonical
+list's multiset trie on its levels, with no work per vertex beyond the bit
+operations of its row, and builds any other list's rows pair by pair from
+the staircase masks. Both return the same rows,
+closed and with the lowest vertex on the top bit; ``adjacency_bitsets``
+states that layout, and the column orbits and the branch and bound read
+it. :func:`column_orbits` takes only the canonical list's levels, so a
+refutation prunes by orbits only on a list that column permutations map
+onto itself. Its shape classes come from counting the levels bit-sliced,
+by the same counter that checks the canonical list's vector sums.
 
 These are the only implementations of the pair checks, the adjacency, the
 column orbits and the clique search; set families use the same pair check,
-each k-subset as a 0/1 vector. The adjacency build and the column orbits
-raise DimensionError when the vectors differ in length.
+each k-subset as a 0/1 vector. Every path raises ParameterError when an
+entry exceeds k or is negative, and DimensionError when the vectors differ
+in length.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter
-from itertools import accumulate, chain, compress, count, islice, repeat
-from math import factorial, prod
+from itertools import accumulate, chain, count, islice, repeat
 from operator import add, itemgetter, lt
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -50,15 +49,20 @@ def staircase_mask(vec: Sequence[int], k: int) -> int:
     """Pack a multiplicity vector into a staircase bit mask (k bits/column).
 
     Raises ParameterError when a multiplicity exceeds k, which would spill
-    into the next column's cells.
+    into the next column's cells, or is negative.
     """
     mask = 0
     base = 0
-    for v in vec:
-        if v > k:
-            raise _too_high(v, k)
-        mask |= ((1 << v) - 1) << base
-        base += k
+    try:
+        for v in vec:
+            if v > k:
+                raise _too_high(v, k)
+            mask |= ((1 << v) - 1) << base
+            base += k
+    except ParameterError:
+        raise
+    except ValueError:  # a negative shift count: the entry is below 0
+        raise ParameterError(f"negative multiplicity in {tuple(vec)}") from None
     return mask
 
 
@@ -167,39 +171,31 @@ def _tally(sets: Iterable[int]) -> list[int]:
     return bits
 
 
-def _canonical_rows(
-    vectors: list[tuple[int, ...]],
-    k: int,
-    t: int,
-    levels: Optional[list[list[int]]] = None,
-) -> Optional[list[int]]:
-    """The rows by :func:`_trie_rows` when the list is ``multiset_vectors(n,
-    s, m)`` in its own order, with s >= 2, 1 <= t <= s and m <= 255; else None.
+def _canonical_levels(vectors: list[tuple[int, ...]], k: int) -> Optional[list[list[int]]]:
+    """The column levels when the list is ``multiset_vectors(n, s, m)`` in
+    its own order, with s >= 1 and m <= 255; else None.
 
     Three checks pin the list: it is strictly ascending, it has as many
     vectors as there are s-multisets of [n] with entries <= m, its largest
-    entry, and every vector has the sum s of the first. The cheap ones run
-    first: a list of 1-multisets fails at its first vector, before its
-    levels are read, if the caller has not read them already.
+    entry, and every vector has the sum s of the first. The ascending check
+    runs first, so the levels of a list out of order are never read. An
+    entry that does not fit in a byte leaves the list without levels. Raises
+    ParameterError when an entry of an ascending list exceeds k and
+    DimensionError when its vectors differ in length.
     """
     from .core import count_multisets  # core imports this module
 
-    s = sum(vectors[0])
-    if s < 2 or not 1 <= t <= s:
+    s = sum(vectors[0]) if vectors else 0
+    if s < 1 or not all(map(lt, vectors, islice(vectors, 1, None))):
         return None
-    if not all(map(lt, vectors, islice(vectors, 1, None))):
-        return None
+    levels = _column_levels(vectors, k)
     if levels is None:
-        levels = _column_levels(vectors, k)
-        if levels is None:
-            return None
+        return None
     nv = len(vectors)
     m = max(map(len, levels))
     if nv != count_multisets(len(levels), s, m) or not _all_of_size(levels, nv, s):
         return None
-    rows = _trie_rows(levels, nv, s, m, t)
-    rows.reverse()
-    return rows
+    return levels
 
 
 def _all_of_size(levels: list[list[int]], nv: int, s: int) -> bool:
@@ -227,6 +223,8 @@ def _trie_rows(levels: list[list[int]], nv: int, s: int, m: int, t: int) -> list
     """
     n = len(levels)
     first = [col[0] for col in levels]
+    if s == 1:  # at t = 1 a 1-multiset meets only itself: its row is its one level
+        return first
     out: list[int] = []
     emit = out.append
     # (depth, last element, its count, window); the root has no last element
@@ -263,7 +261,7 @@ def adjacency_bitsets(
     vectors: list[tuple[int, ...]],
     k: int,
     t: int,
-    levels: Optional[list[list[int]]] = None,
+    levels: Optional[list[list[int]]],
 ) -> list[int]:
     """Closed neighbourhood rows of the t-intersection graph, lowest vertex on top.
 
@@ -272,82 +270,32 @@ def adjacency_bitsets(
     t-intersects; vertex w is bit ``nv - 1 - w``, so vertex 0 is the highest
     bit of an ``nv``-bit set. The lowest vertex of a set ``s`` is then
     ``nv - s.bit_length()``, and the int that holds a set shrinks as its
-    lowest vertices leave. Both paths below return this layout.
+    lowest vertices leave. Both builders below return this layout.
 
-    Bit-sliced: the level of the cell (c, r) holds the vertices whose
-    multiplicity in column c exceeds r. Vertex i shares that cell with
-    exactly the vertices in its level, so a count over i's own cells of "at
-    least q shared cells" gives its neighbours with whole-graph bit
-    operations.
-
-    The canonical list, ``multiset_vectors(n, s, cap)`` in its own order,
-    as every search in the package passes it, takes a walk of its multiset
-    trie (:func:`_trie_rows`) on the column levels; there is no work per
-    vertex beyond its row's two bit operations. ``levels`` are the levels
-    as :func:`_column_levels` reads them, when the caller has them; else
-    they are read here, once the cheap checks of :func:`_canonical_rows`,
-    which recognises the list from the vectors themselves, have passed.
-
-    Any other list takes the prefix-sharing pass: shuffled or with members
-    missing or repeated, mixed sizes, 1-multisets, t outside [1, s], and
-    entries above 255. Its first pass fills the levels and records each
-    vertex's cells in column order, from the last vertex to the first, so
-    that the i-th vertex read is bit i. The second pass keeps the counts row
-    by row: the row after a vertex's first j cells depends on those cells
-    alone, so a vertex takes over the rows of the longest cell prefix it
-    shares with the vertex before it. Raises ParameterError when a
-    multiplicity exceeds k and DimensionError when the vectors differ in
-    length.
+    ``levels`` are the canonical list's column levels, as
+    :func:`_canonical_levels` returns them, or None for any other list.
+    With levels and 1 <= t <= s, the walk of the list's multiset trie
+    (:func:`_trie_rows`) builds the rows, with no work per vertex beyond its
+    row's bit operations. Otherwise the rows come pair by pair, from the
+    popcounts of the staircase masks' ANDs: O(nv²) popcounts, for the lists
+    that tests and outside callers pass. Raises ParameterError when an
+    entry exceeds k or is negative and DimensionError when the vectors
+    differ in length.
     """
     nv = len(vectors)
-    if nv == 0:
-        return []
-    adj = _canonical_rows(vectors, k, t, levels)
-    if adj is not None:
-        return adj
-    columns = range(_width(vectors))
-    level = [0] * (len(columns) * k)
-    cell_lists = []
-    for i, vec in enumerate(reversed(vectors)):
-        bit = 1 << i
-        cells: list[int] = []
-        for c in compress(columns, vec):
-            if vec[c] > k:
-                raise _too_high(vec[c], k)
-            base = c * k
-            cells.extend(range(base, base + vec[c]))
-        for r in cells:
-            level[r] |= bit
-        cell_lists.append(cells)
-    everyone = (1 << nv) - 1
-    adj = [0] * nv
-    # rows[j][s]: the vertices sharing at least s of the first j cells of
-    # ``prev``, for s <= min(j, t); the last cell of a vertex needs only s = t
-    rows = [[everyone]]
-    prev: list[int] = []
-    for i, cells in enumerate(cell_lists):
-        cell_lists[i] = None  # only ``prev`` is kept once a vertex is read
-        last = len(cells) - 1
-        limit = min(last, len(rows) - 1)
-        p = 0
-        while p < limit and cells[p] == prev[p]:
-            p += 1
-        del rows[p + 1:]
-        row = rows[p]
-        for r in cells[p:last]:
-            shared = level[r]
-            nxt = [everyone]
-            for s in range(1, len(row)):
-                nxt.append(row[s] | (row[s - 1] & shared))
-            if len(row) <= t:
-                nxt.append(row[-1] & shared)
-            rows.append(nxt)
-            row = nxt
-        hit = row[t] if t < len(row) else 0
-        if 0 < t <= len(row) and last >= 0:
-            hit |= row[t - 1] & level[cells[last]]
-        adj[nv - 1 - i] = hit | (1 << i)  # closed: a vertex with |v| < t keeps its bit
-        prev = cells
+    s = sum(vectors[0]) if levels is not None else 0
+    if 1 <= t <= s:
+        rows = _trie_rows(levels, nv, s, max(map(len, levels)), t)
+        rows.reverse()
+        return rows
+    _width(vectors)
+    masks = [staircase_mask(v, k) for v in vectors]
+    binary = bytes.maketrans(b"\0\1", b"01")
+    adj = []
+    for i, mi in enumerate(masks):
+        hits = bytes(map(t.__le__, map(int.bit_count, map(mi.__and__, masks))))
+        # closed: a vertex with |v| < t keeps its bit
+        adj.append(int(hits.translate(binary), 2) | 1 << (nv - 1 - i))
     return adj
 
 
@@ -363,29 +311,26 @@ def _members(bits: int, nv: int) -> list[int]:
 
 def column_orbits(
     vectors: list[tuple[int, ...]],
-    levels: Optional[list[list[int]]] = None,
-) -> Optional[Callable[[tuple[int, ...], int], dict[int, int]]]:
+    levels: list[list[int]],
+) -> Callable[[tuple[int, ...], int], dict[int, int]]:
     """Orbits of the column permutations that fix a path, as vertex sets.
 
-    ``levels`` are the list's column levels as :func:`_column_levels` reads
-    them; they are read here when not given. Returns None unless every
-    column permutation maps the list onto itself: the vectors are distinct
-    and each shape (sorted vector) occurs as often as it has arrangements.
-    A column permutation preserves sums of minima, so on such a list it is
-    an automorphism of every t-intersection graph. Also returns None, and
-    so prunes nothing, when an entry does not fit in a byte (above 255, or
-    negative): no pruning is always sound. An empty list is closed. Raises
-    DimensionError when the vectors differ in length.
+    ``levels`` are the list's column levels, and the list must be closed
+    under column permutations: every one maps it onto itself, so, as it
+    preserves sums of minima, it is an automorphism of every t-intersection
+    graph. The canonical list is closed by construction, and
+    ``kernels.max_t_clique`` passes only the levels that
+    :func:`_canonical_levels` returns for it. On a list that is not closed
+    the classes need not be orbits of any automorphism, and pruning by them
+    can lose the maximum. An empty list is closed.
 
     The shapes are found bit-sliced, with no Python work per vertex: the
     number of columns whose entry is above r is the (r+1)-th part of the
     conjugate of a vertex's shape, so counting the levels ``levels[c][r]``
-    over c, for each r, splits the vertices into their shape classes. Each
-    class's count is then one popcount, and one set of the vectors shows
-    that they are distinct.
+    over c, for each r, splits the vertices into their shape classes.
 
-    Otherwise returns ``orbit_masks(path, cand)``. ``path`` is a tuple of
-    vertices and ``cand`` a vertex set in the layout of
+    Returns ``orbit_masks(path, cand)``. ``path`` is a tuple of vertices
+    and ``cand`` a vertex set in the layout of
     :func:`adjacency_bitsets`; the result maps each vertex w of ``cand`` to
     the set of the members of ``cand`` in w's orbit under the column
     permutations that fix every vertex of ``path``. Those permutations are
@@ -397,22 +342,11 @@ def column_orbits(
     are the shape classes, cut to ``cand``. A longer path costs
     O(|cand|·|support of the path|) beyond one scan of ``cand``.
     """
-    if levels is None:
-        levels = _column_levels(vectors, k=255)
-        if levels is None:
-            return None
     nv = len(vectors)
     shapes = [(1 << nv) - 1] if nv else []
     for r in range(max(map(len, levels), default=0)):
         for bit in _tally(col[r] for col in levels if len(col) > r):
             shapes = [part for cls in shapes for part in (cls & bit, cls & ~bit) if part]
-    for cls in shapes:
-        shape = vectors[nv - cls.bit_length()]
-        same = map(factorial, Counter(shape).values())
-        if cls.bit_count() != factorial(len(shape)) // prod(same):
-            return None
-    if len(set(vectors)) != nv:
-        return None
     # each vertex's shape index, a base-256 digit at a time: the binary
     # digits of a class translate to that digit of its index at its members
     shape_of: list[int] = []

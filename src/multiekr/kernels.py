@@ -2,13 +2,14 @@
 
 Each has one implementation, in pure Python (``multiekr._kernels_py``);
 multiset and set families alike go through the same pair predicates.
-``max_t_clique`` builds the rows that ``_kernels_py.adjacency_bitsets``
-lays out and runs ``_kernels_py.branch_and_bound`` on them; a refutation
-also prunes by the column orbits of ``_kernels_py.column_orbits``, and
-reads the list's column levels once for both. The canonical list that the
-searches pass has its rows built by a walk of its multiset trie, any other
-list by the prefix-sharing pass; the rows and their layout are the same
-either way.
+``max_t_clique`` decides once, by ``_kernels_py._canonical_levels``,
+whether the list is the canonical one that the searches pass, and hands
+that list's column levels, or None, to ``_kernels_py.adjacency_bitsets``:
+a walk of the multiset trie builds the canonical list's rows, the pair
+checks any other list's, in one layout. It runs
+``_kernels_py.branch_and_bound`` on the rows; a refutation of the
+canonical list also prunes by the column orbits of
+``_kernels_py.column_orbits``, built from the same levels.
 """
 
 from __future__ import annotations
@@ -38,30 +39,28 @@ def max_t_clique(
     ``_kernels_py.adjacency_bitsets`` states, and runs the branch and bound
     on them.
     ``stop_at`` > 0 halts as soon as the incumbent reaches that size;
-    ``lower_bound`` seeds the incumbent size without a witness. When
-    ``lower_bound`` > 0 and :func:`column_orbits` finds the list closed
-    under column permutations, the search prunes their orbits at depths 0
-    and 1: the size is the same, the node count smaller, and a witness
-    (found only when the maximum exceeds ``lower_bound``) may differ from
-    the plain search's.
+    ``lower_bound`` seeds the incumbent size without a witness.
 
-    A refutation (``lower_bound`` > 0) reads the list's column levels once,
-    here, and passes them to both the adjacency build and the column
-    orbits; a list whose entries do not fit in a byte has no levels, and
-    its refutation no orbit pruning. Any other search leaves the levels to
-    the adjacency build, which reads them only for the canonical list of
-    s-multisets, s >= 2, so a find on 1-multisets never reads them.
+    The list is recognised once, here: ``_kernels_py._canonical_levels``
+    returns the column levels of ``multiset_vectors(n, s, cap)`` in its own
+    order, s >= 1, and None for any other list, which the adjacency build
+    then reads pair by pair. When ``lower_bound`` > 0 and the list is
+    canonical, and so closed under column permutations, the search also
+    prunes their orbits at depths 0 and 1, built from the same levels: the
+    size is the same, the node count smaller, and a witness (found only
+    when the maximum exceeds ``lower_bound``) may differ from the plain
+    search's.
 
     Returns (best_size, witness_indices, nodes). Raises BudgetError when
     more than ``node_budget`` tree nodes would be expanded, ParameterError
-    when an entry exceeds k and DimensionError when the vectors differ in
-    length.
+    when an entry exceeds k or is negative and DimensionError when the
+    vectors differ in length.
     """
     if not vectors:
         return 0, [], 0
-    levels = _kernels_py._column_levels(vectors, k) if lower_bound > 0 else None
+    levels = _kernels_py._canonical_levels(vectors, k)
     adj = _kernels_py.adjacency_bitsets(vectors, k, t, levels)
-    orbits = column_orbits(vectors, levels) if levels is not None else None
+    orbits = column_orbits(vectors, levels) if lower_bound > 0 and levels is not None else None
     return _kernels_py.branch_and_bound(adj, node_budget, stop_at, lower_bound, orbits)
 
 

@@ -82,10 +82,10 @@ def _neighbours(sizes, i, t):
 
 class TestAdjacency:
     def test_matches_pairwise_definition(self):
-        # canonical lists of 2-multisets and up take the trie walk; each near
-        # miss breaks one check that selects it, and entries above a byte
-        # cannot be parsed as bytes: those take the prefix-sharing pass
-        cases = [(list(multiset_vectors(n, k, cap)), k, range(1, k + 1), k > 1)
+        # every canonical list, 1-multisets included, takes the trie walk;
+        # each near miss breaks one check that recognises it, and entries
+        # above a byte cannot be parsed as bytes: those are read pair by pair
+        cases = [(list(multiset_vectors(n, k, cap)), k, range(1, k + 1), True)
                  for n in range(1, 8) for k in range(1, 6) for cap in (None, 1, 2)]
         vecs = list(multiset_vectors(5, 4))
         # vecs[1] = (0, 0, 0, 1, 3) resized to 3 and to 5, still between its neighbours
@@ -95,17 +95,17 @@ class TestAdjacency:
             cases.append((near_miss, 4, range(1, 5), False))
         cases.append((list(multiset_vectors(2, 300)), 300, (1, 256, 299), False))
         for vecs, k, ts, walks in cases:
+            levels = pure._canonical_levels(vecs, k)
+            if vecs:
+                assert (levels is not None) == walks, (vecs[:3], k)
             sizes = [[_shared(a, b) for b in vecs] for a in vecs]
             for t in ts:
                 expected = [_neighbours(row, i, t) for i, row in enumerate(sizes)]
-                assert pure.adjacency_bitsets(vecs, k, t) == expected, (vecs[:3], k, t)
-                if vecs:
-                    walked = pure._canonical_rows(vecs, k, t) is not None
-                    assert walked == walks, (vecs[:3], k, t)
+                assert pure.adjacency_bitsets(vecs, k, t, levels) == expected, (vecs[:3], k, t)
 
     def test_any_vertex_order(self):
-        # rows are reused along shared cell prefixes; out of canonical order
-        # neighbours differ early, and mixed sizes give prefixes of any length
+        # out of canonical order, or with mixed sizes, a list has no levels
+        # and its rows come pair by pair, for t past both ends of [1, k] too
         rng = random.Random(4)
         mixed = [v for size in range(5) for v in multiset_vectors(4, size)]
         cases = [(list(multiset_vectors(6, 4)), 4), (list(multiset_vectors(5, 4, 2)), 4),
@@ -113,10 +113,11 @@ class TestAdjacency:
         for vecs, k in cases:
             for _ in range(3):
                 vecs = rng.sample(vecs, len(vecs))
+                assert pure._canonical_levels(vecs, k) is None
                 sizes = [[_shared(a, b) for b in vecs] for a in vecs]
                 for t in range(0, k + 2):
                     expected = [_neighbours(row, i, t) for i, row in enumerate(sizes)]
-                    assert pure.adjacency_bitsets(vecs, k, t) == expected, (vecs[:3], t)
+                    assert pure.adjacency_bitsets(vecs, k, t, None) == expected, (vecs[:3], t)
 
     def test_ragged_list_raises(self):
         # a column that only some vectors have is no zero for the others:
@@ -126,9 +127,9 @@ class TestAdjacency:
         walkable = [(0, 2), (1, 1, 0), (2, 0)]  # s = 2, ascending: reaches the levels
         for vecs in (ragged, walkable):
             with pytest.raises(DimensionError):
-                pure.adjacency_bitsets(vecs, 2, 1)
+                pure.adjacency_bitsets(vecs, 2, 1, None)
             with pytest.raises(DimensionError):
-                kernels.column_orbits(vecs)
+                pure._column_levels(vecs, 2)
             for lower_bound in (0, 1):
                 with pytest.raises(DimensionError):
                     kernels.max_t_clique(vecs, 2, 1, lower_bound=lower_bound)
@@ -136,9 +137,9 @@ class TestAdjacency:
         assert kernels.max_t_clique(padded, 2, 1)[0] == 2
 
     def test_levels_read_once(self, monkeypatch):
-        # a refutation reads the list's levels once for the rows and the
-        # orbits; a find reads them only where the trie walk takes the list,
-        # so the wide 1-multiset lists of the sharpness grid are never read
+        # every search reads the canonical list's levels once, for the rows
+        # and, in a refutation, the orbits; the wide 1-multiset lists of the
+        # sharpness grid are canonical too, and read once
         reads = []
         column_levels = pure._column_levels
 
@@ -156,14 +157,14 @@ class TestAdjacency:
         reads.clear()
         wide = list(multiset_vectors(492, 1))
         assert kernels.max_t_clique(wide, 1, 1)[0] == 1
-        assert reads == []
+        assert reads == [len(wide)]
 
     def test_matches_pairwise_definition_at_9_6_3(self):
         # 3003 and 5005 vertices, (10,6,4) the largest frontier point: a
         # seeded sample of rows keeps the definition cheap
         for n, k, t in ((9, 6, 3), (10, 6, 4)):
             vecs = list(multiset_vectors(n, k))
-            adj = pure.adjacency_bitsets(vecs, k, t)
+            adj = pure.adjacency_bitsets(vecs, k, t, pure._canonical_levels(vecs, k))
             assert len(adj) == len(vecs)
             for i in random.Random(963).sample(range(len(vecs)), 60):
                 sizes = [_shared(vecs[i], other) for other in vecs]
@@ -192,10 +193,10 @@ class TestNodeCounts:
         "n,k,t,nodes", [(7, 5, 3, 518), (8, 5, 3, 2403), (8, 6, 4, 1994)]
     )
     def test_refutation_at_bound(self, backend, n, k, t, nodes):
-        # without orbit pruning, as for a list that is not column-closed
+        # without orbit pruning, as for a list that is not canonical
         vecs = list(multiset_vectors(n, k))
         bound = multiset_bound(n, k, t)
-        adj = backend.adjacency_bitsets(vecs, k, t)
+        adj = backend.adjacency_bitsets(vecs, k, t, backend._canonical_levels(vecs, k))
         assert backend.branch_and_bound(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound) == (
             bound, [], nodes,
         )
@@ -223,7 +224,7 @@ class TestOrbitPruning:
 
     def test_unguarded_shape_pruning_would_be_wrong(self):
         # why the guard matters: shape orbits on this list lose the answer
-        adj = pure.adjacency_bitsets(self.UNCLOSED, 3, 2)
+        adj = pure.adjacency_bitsets(self.UNCLOSED, 3, 2, None)
 
         def shape_masks(path, cand):
             return _orbit_sets(lambda w: tuple(sorted(self.UNCLOSED[w])), cand, len(adj))
@@ -231,26 +232,40 @@ class TestOrbitPruning:
         assert pure.branch_and_bound(adj, 1000, 0, 2, shape_masks)[0] == 2
 
     def test_closure_check(self):
+        # only the canonical list, closed by construction, gets orbits: its
+        # recognition is the guard, and rejects every list that is not it
         for n in range(1, 6):
             for k in range(1, 5):
                 for cap in (None, 1, 2):
                     vecs = list(multiset_vectors(n, k, cap))
-                    assert kernels.column_orbits(vecs) is not None, (n, k, cap)
-        assert kernels.column_orbits(self.UNCLOSED) is None
+                    if vecs:
+                        assert pure._canonical_levels(vecs, k) is not None, (n, k, cap)
+        assert pure._canonical_levels(self.UNCLOSED, 3) is None
         vecs = list(multiset_vectors(4, 3))
         for i in range(len(vecs)):
-            assert kernels.column_orbits(vecs[:i] + vecs[i + 1:]) is None, vecs[i]
-        assert kernels.column_orbits(vecs + vecs[:1]) is None
+            assert pure._canonical_levels(vecs[:i] + vecs[i + 1:], 3) is None, vecs[i]
+        assert pure._canonical_levels(vecs + vecs[:1], 3) is None
         # the empty list is closed, and has no vertex to map
-        assert kernels.column_orbits([])((), 0) == {}
-        # closed, but an entry above a byte: no levels, so no pruning
-        assert kernels.column_orbits(list(multiset_vectors(2, 300))) is None
+        assert kernels.column_orbits([], [])((), 0) == {}
+        # canonical, but an entry above a byte: no levels, so no pruning
+        assert pure._canonical_levels(list(multiset_vectors(2, 300)), 300) is None
+
+    def test_off_canonical_order_is_not_pruned(self):
+        # a seeded shuffle is still closed, but is not the canonical list:
+        # its refutation takes the plain search, node for node
+        vecs = random.Random(53).sample(list(multiset_vectors(5, 3)), 35)
+        for t in (1, 2, 3):
+            bound = multiset_bound(5, 3, t)
+            adj = pure.adjacency_bitsets(vecs, 3, t, None)
+            plain = pure.branch_and_bound(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound)
+            assert plain[:2] == (bound, [])
+            assert kernels.max_t_clique(vecs, 3, t, lower_bound=bound) == plain, t
 
     def test_orbit_ids(self):
         vecs = list(multiset_vectors(4, 3))
         nv = len(vecs)
         bit = {w: 1 << (nv - 1 - i) for i, w in enumerate(vecs)}
-        orbits = kernels.column_orbits(vecs)
+        orbits = kernels.column_orbits(vecs, pure._canonical_levels(vecs, 3))
         root = orbits((), (1 << nv) - 1)
         assert len(set(root.values())) == 3  # shapes (3), (2,1), (1,1,1)
         assert all((root[i] == root[j]) == (sorted(a) == sorted(b))
@@ -284,7 +299,7 @@ class TestOrbitPruning:
         for n, k in ((1, 1), (2, 1), (5, 4), (6, 5), (9, 6)):
             vecs = list(multiset_vectors(n, k))
             nv = len(vecs)
-            orbit_masks = kernels.column_orbits(vecs)
+            orbit_masks = kernels.column_orbits(vecs, pure._canonical_levels(vecs, k))
             for bits in sets(nv):
                 for depth in range(min(nv, 2) + 1):
                     path = tuple(rng.sample(range(nv), depth))
@@ -292,10 +307,11 @@ class TestOrbitPruning:
                     assert orbit_masks(path, bits) == expected, (n, k, path, bits)
 
     def test_more_shapes_than_a_byte_numbers(self):
-        # 276 shapes {a, b}: each vertex's shape index takes two base-256 digits
+        # 276 shapes {a, b}: each vertex's shape index takes two base-256
+        # digits; the list is closed, not canonical, so its levels are read here
         vecs = [(a, b) for a in range(23) for b in range(23)]
         nv = len(vecs)
-        orbit_masks = kernels.column_orbits(vecs)
+        orbit_masks = kernels.column_orbits(vecs, pure._column_levels(vecs, 255))
         for path in ((), (vecs.index((3, 3)),), (vecs.index((3, 4)),)):
             for cand in ((1 << nv) - 1, random.Random(len(path)).getrandbits(nv)):
                 expected = _orbit_sets(_profile_key(vecs, path), cand, nv)
@@ -310,7 +326,8 @@ class TestOrbitPruning:
         candidate sets: the masks must partition the candidates, and two
         candidates must share a mask exactly when a column permutation that
         fixes the path maps one to the other. ``shuffle`` puts each list in
-        a seeded order first, so it is closed but not ascending.
+        a seeded order first, so it is closed but not ascending; either way
+        ``column_orbits`` is given the list's levels as they are read.
         """
         rng = random.Random(seed)
         mismatches = []
@@ -320,7 +337,7 @@ class TestOrbitPruning:
                 rng.shuffle(vecs)
             nv = len(vecs)
             everyone = (1 << nv) - 1
-            orbit_masks = column_orbits(vecs)
+            orbit_masks = column_orbits(vecs, pure._column_levels(vecs, 255))
             perms = list(permutations(range(n)))
             calls = [((), everyone)]
             for v in range(nv):
@@ -359,7 +376,7 @@ class TestOrbitPruning:
     def test_brute_force_catches_dropped_singleton_classes(self):
         # the unsound key: classes of one column left out, so along the path
         # the values on its lone columns are no longer kept apart
-        def without_singletons(vecs):
+        def without_singletons(vecs, levels):
             def orbit_masks(path, cand):
                 classes: dict = {}
                 for c, profile in enumerate(zip(*(vecs[v] for v in path))):
@@ -390,9 +407,10 @@ class TestOrbitPruning:
                     vecs = list(multiset_vectors(n, k, cap))
                     if not vecs or len(vecs) > 130:
                         continue
-                    orbits = kernels.column_orbits(vecs)
+                    levels = pure._canonical_levels(vecs, k)
+                    orbits = kernels.column_orbits(vecs, levels)
                     for t in range(1, k + 1):
-                        adj = pure.adjacency_bitsets(vecs, k, t)
+                        adj = pure.adjacency_bitsets(vecs, k, t, levels)
                         try:
                             best = pure.branch_and_bound(adj, 20_000, 0, 0)[0]
                         except BudgetError:
@@ -414,9 +432,10 @@ class TestOrbitPruning:
         # the search asks for orbits at the root with every vertex, then below
         # each root branch on v with v's depth-1 candidates, in order
         vecs = list(multiset_vectors(8, 6))
-        adj = pure.adjacency_bitsets(vecs, 6, 4)
+        levels = pure._canonical_levels(vecs, 6)
+        adj = pure.adjacency_bitsets(vecs, 6, 4, levels)
         bound = multiset_bound(8, 6, 4)
-        orbits = kernels.column_orbits(vecs)
+        orbits = kernels.column_orbits(vecs, levels)
         calls = []
 
         def recorded(path, cand):
@@ -440,22 +459,27 @@ class TestOrbitPruning:
 
 
 class TestStaircaseHeight:
-    """A multiplicity above k would spill into the next column's cells."""
+    """A multiplicity above k would spill into the next column's cells, and
+    a negative one has no cells to hold."""
 
     def test_clique_search_rejects(self):
-        # the two share nothing; unchecked, they came back 1-intersecting
-        with pytest.raises(ParameterError):
-            kernels.max_t_clique([(3, 0, 0), (0, 3, 0)], 2, 1)
-        with pytest.raises(ParameterError):
-            kernels.max_t_clique([(3, 0), (0, 3)], 2, 1)
+        # the two share nothing; unchecked, they came back 1-intersecting.
+        # With a -1 read as 0, (2, -1) and (1, 0) came back adjacent; the
+        # last list is ascending with sum 1, so it reaches the level read
+        for vecs in ([(3, 0, 0), (0, 3, 0)], [(3, 0), (0, 3)], [(2, -1), (1, 0)],
+                     [(-1, 2), (0, 1)]):
+            for lower_bound in (0, 1):
+                with pytest.raises(ParameterError):
+                    kernels.max_t_clique(vecs, 2, 1, lower_bound=lower_bound)
 
     def test_pair_checks_reject(self):
-        with pytest.raises(ParameterError):
-            kernels.all_pairs_at_least([(3, 0), (0, 3)], 2, 1)
-        with pytest.raises(ParameterError):
-            kernels.compatible_with_all((3, 0), [(0, 3)], 2, 1)
-        with pytest.raises(ParameterError):
-            kernels.all_pairs_at_least_in_region([(3, 0), (0, 3)], 2, (1, 1), 1)
+        for a, b in (((3, 0), (0, 3)), ((2, -1), (1, 0))):
+            with pytest.raises(ParameterError):
+                kernels.all_pairs_at_least([a, b], 2, 1)
+            with pytest.raises(ParameterError):
+                kernels.compatible_with_all(a, [b], 2, 1)
+            with pytest.raises(ParameterError):
+                kernels.all_pairs_at_least_in_region([a, b], 2, (1, 1), 1)
 
     def test_region_sets_the_height(self):
         # the region may be taller than k; the masks are as tall as it
