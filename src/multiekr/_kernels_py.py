@@ -1,12 +1,16 @@
 """Pure-Python kernels: pairwise intersection tests, adjacency, clique search.
 
-Python integers serve as bit sets in two ways. The pair predicates pack each
-multiplicity vector into a staircase mask: the cell (column c, row r) of a
-k-multiset occupies bit c*k + r, so the intersection size of two multisets
-is the popcount of the AND of their masks. The trie walk and the column
-orbits slice the other way: the column levels, one bit set per cell with a
-bit per vertex that owns the cell. :func:`_column_levels` reads them from
-the whole list at once, as one byte string, with no Python work per vertex.
+Python integers serve as bit sets in two ways. A staircase mask packs one
+multiplicity vector: the cell (column c, row r) of a k-multiset occupies
+bit c*k + r, so the intersection size of two multisets is the popcount of
+the AND of their masks. The pair check of a small family and the rows of
+a list that is not canonical read the masks pair by pair. The column
+levels slice the other way: one bit set per cell, with a bit per vertex
+(or member) that owns the cell. :func:`_column_levels` reads them from the
+whole list at once, as one byte string, with no Python work per vertex.
+The trie walk, the column orbits and the bit-sliced pair check read the
+levels; that check tests each member of a large family against the
+levels of its own cells, capped at t, not against every other member.
 
 One decision picks the work. :func:`_canonical_levels` recognises the
 canonical list, ``multiset_vectors(n, s, cap)`` in its own order with
@@ -25,8 +29,10 @@ onto itself. Its shape classes come from counting the levels bit-sliced,
 by the same counter that checks the canonical list's vector sums.
 
 These are the only implementations of the pair checks, the adjacency, the
-column orbits and the clique search; set families use the same pair check,
-each k-subset as a 0/1 vector. Every path raises ParameterError when an
+column orbits and the clique search; set families use the same pair
+predicates, each k-subset as a 0/1 vector, and the predicates pick the
+pair check or the bit-sliced one from a cost computed from their input.
+Every path raises ParameterError when an
 entry exceeds k or is negative, and DimensionError when the vectors differ
 in length.
 """
@@ -34,8 +40,9 @@ in length.
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, chain, count, islice, repeat
-from operator import add, itemgetter, lt
+from functools import reduce
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, getitem, itemgetter, lt, or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetError, DimensionError, ParameterError
@@ -66,47 +73,141 @@ def staircase_mask(vec: Sequence[int], k: int) -> int:
     return mask
 
 
-def _pairs_at_least(masks: list[int], t: int, region: int = -1) -> bool:
-    """min over pairs (diagonal included) of popcount(mi & mj & region) >= t."""
+# A pair row costs one popcount per member; the bit-sliced check of a member
+# costs about this many of them per capped cell and unit of t (measured on
+# families of 12 to 250 members, t = 1 to 4)
+SLICED_CELL_COST = 6
+
+
+def _pairs_at_least(
+    vectors: Sequence[Sequence[int]],
+    k: int,
+    t: int,
+    region: Optional[Sequence[int]] = None,
+) -> bool:
+    """min over pairs (diagonal included) of sum_c min(a_c, b_c, region_c) >= t.
+
+    The region is every column at full height when None. Two checks give
+    the same answer, and the cheaper one runs. A member's capped cells are
+    its cells (c, r) with r < min(t, region_c): a member of a k-multiset
+    family has at most min(k, sum_c min(t, region_c)) of them. The pair
+    check costs about one popcount per member for each member; the
+    bit-sliced check about SLICED_CELL_COST per capped cell and unit of t,
+    so it runs when the members outnumber that. Raises ParameterError when
+    an entry exceeds the height, max(k, max(region)), or is negative, and
+    DimensionError when the vectors, or the region, differ in length.
+    """
+    nv = len(vectors)
+    if region is None:
+        n = _width(vectors)
+        height, region_mask = k, -1
+    else:
+        n = _width(chain(vectors, [region]))
+        height = max(k, max(region, default=0))
+        region_mask = staircase_mask(region, height)
+    # the cell bound is summed only for a family large enough to need it
+    if t > 0 and nv > SLICED_CELL_COST * t and nv > SLICED_CELL_COST * t * min(
+        k, n * t if region is None else sum(map(min, region, repeat(t)))
+    ):
+        levels = _column_levels(vectors, height, t)
+        if levels is not None:
+            return _sliced_at_least(vectors, levels, region, t)
+    masks = [staircase_mask(v, height) for v in vectors]
     for i in range(len(masks)):
-        mi = masks[i] & region
+        mi = masks[i] & region_mask
         for j in range(i, len(masks)):
             if (mi & masks[j]).bit_count() < t:
                 return False
     return True
 
 
-def all_pairs_at_least(
-    vectors: list[tuple[int, ...]], k: int, t: int
-) -> bool:
-    """min over pairs (diagonal included) of |Fi cap Fj| >= t."""
-    return _pairs_at_least([staircase_mask(v, k) for v in vectors], t)
-
-
-def all_pairs_at_least_in_region(
-    vectors: list[tuple[int, ...]],
-    k: int,
-    region: Sequence[int],
+def _sliced_at_least(
+    vectors: Sequence[Sequence[int]],
+    levels: list[list[int]],
+    region: Optional[Sequence[int]],
     t: int,
 ) -> bool:
-    """min over pairs (diagonal included) of |Fi cap Fj cap region| >= t."""
-    height = max(k, max(region, default=0))
-    masks = [staircase_mask(v, height) for v in vectors]
-    return _pairs_at_least(masks, t, staircase_mask(region, height))
+    """Every member shares at least t capped cells with every member.
 
-
-def compatible_with_all(
-    cand: Sequence[int], vectors: list[tuple[int, ...]], k: int, t: int
-) -> bool:
-    """True when the candidate t-intersects every listed vector."""
-    cmask = staircase_mask(cand, k)
-    for v in vectors:
-        if (cmask & staircase_mask(v, k)).bit_count() < t:
+    ``levels[c][r]`` holds the members whose entry in column c is above r,
+    for r < t, as :func:`_column_levels` reads them. Only the levels below
+    t and the region count: sum_c min(a_c, b_c) >= t holds exactly when
+    sum_c min(a_c, b_c, t) >= t, since a column that reaches t alone
+    reaches it capped too. For each member, ``shared[q]`` gathers the
+    members that share at least q of its capped cells, one cell at a time,
+    and row t must hold every member, itself included: that is its own
+    diagonal, |F| >= t. At t = 1 row 1 is the OR of the levels of its
+    columns. O(N * cells * t) big-int operations for N members.
+    """
+    everyone = (1 << len(vectors)) - 1
+    if region is not None:
+        levels = [lv[:h] for lv, h in zip(levels, region)]
+    if t == 1:
+        first = [lv[0] if lv else 0 for lv in levels]
+        return all(reduce(or_, compress(first, vec), 0) == everyone for vec in vectors)
+    window = range(t, 0, -1)
+    for vec in vectors:
+        shared = [everyone] + [0] * t
+        for cell in chain.from_iterable(
+            map(getitem, compress(levels, vec), map(slice, filter(None, vec)))
+        ):
+            for q in window:
+                shared[q] |= shared[q - 1] & cell
+        if shared[t] != everyone:
             return False
     return True
 
 
-def _width(vectors: list[tuple[int, ...]]) -> int:
+def all_pairs_at_least(
+    vectors: Sequence[Sequence[int]], k: int, t: int
+) -> bool:
+    """min over pairs (diagonal included) of |Fi cap Fj| >= t.
+
+    Capping every entry at t keeps the answer, so a large family at small
+    t is checked bit-sliced, in O(N * cells * t) big-int operations, and
+    any other pair by pair, in O(N²) popcounts; :func:`_pairs_at_least`
+    states the cost that picks one.
+    """
+    return _pairs_at_least(vectors, k, t)
+
+
+def all_pairs_at_least_in_region(
+    vectors: Sequence[Sequence[int]],
+    k: int,
+    region: Sequence[int],
+    t: int,
+) -> bool:
+    """min over pairs (diagonal included) of |Fi cap Fj cap region| >= t.
+
+    Checked as :func:`all_pairs_at_least` checks it, with each column
+    capped at min(t, region_c).
+    """
+    return _pairs_at_least(vectors, k, t, region)
+
+
+def compatible_with_all(
+    cand: Sequence[int], vectors: Sequence[Sequence[int]], k: int, t: int
+) -> bool:
+    """True when the candidate t-intersects every listed vector.
+
+    The greedy corpus asks this once per candidate and most candidates miss
+    one of the first vectors, so the lengths are checked where the answer
+    is made: a miss against the candidate's length, an acceptance against
+    every vector's. Raises DimensionError when they differ.
+    """
+    cmask = staircase_mask(cand, k)
+    for v in vectors:
+        if (cmask & staircase_mask(v, k)).bit_count() < t:
+            if len(v) != len(cand):
+                raise DimensionError(
+                    f"vectors of different lengths {sorted({len(cand), len(v)})}"
+                )
+            return False
+    _width(chain([cand], vectors))
+    return True
+
+
+def _width(vectors: Iterable[Sequence[int]]) -> int:
     """The vectors' common length; raises DimensionError when they differ.
 
     A column that only some vectors have would be read as theirs alone,
@@ -118,12 +219,16 @@ def _width(vectors: list[tuple[int, ...]]) -> int:
     return widths.pop() if widths else 0
 
 
-def _column_levels(vectors: list[tuple[int, ...]], k: int) -> Optional[list[list[int]]]:
-    """``levels[c][r]``: the vertices whose entry in column c is above r.
+def _column_levels(
+    vectors: Sequence[Sequence[int]], k: int, depth: int = 255
+) -> Optional[list[list[int]]]:
+    """``levels[c][r]``: the vertices whose entry in column c is above r, r < depth.
 
     The list is read once, as one byte string with a vector every n bytes,
     so a column is every n-th byte from its offset. A column's list runs
-    up to its largest entry, and vectors[0] is the top bit, as in the rows.
+    up to its largest entry, or to depth levels when that is less (the
+    pair predicates need only r < t), and vectors[0] is the top bit, as in
+    the rows.
     Each level is parsed from the column's bytes, so no Python loop runs
     over the vertices. Returns None when an entry is not a byte: above 255,
     or negative. Raises ParameterError when an entry exceeds k and
@@ -142,7 +247,7 @@ def _column_levels(vectors: list[tuple[int, ...]], k: int) -> Optional[list[list
     for c in range(n):
         col = raw[c::n]
         ranks = []
-        for r in range(min(k, 255)):
+        for r in range(min(k, depth, 255)):
             # the table takes a byte to b"1" when it exceeds r, else to b"0"
             level = int(col.translate(b"0" * (r + 1) + b"1" * (255 - r)), 2)
             if not level:  # the levels shrink as r grows

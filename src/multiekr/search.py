@@ -267,13 +267,18 @@ class SetFamily:
     def is_t_intersecting(self, t: int) -> bool:
         """True when every pair of members, a member with itself included,
         shares at least t points: each k-subset goes through the multiset
-        pair check as a 0/1 vector."""
+        pair check as a 0/1 vector, built from its k points. On a large
+        family at small t that check is bit-sliced: the members are tested
+        against the sets of members that hold each point, not pair by pair."""
         if not self.members:
             return True
-        ground = range(1, self.n_ground + 1)
-        vectors = [tuple(int(x in m) for x in ground) for m in map(set, self.members)]
-        k = len(self.members[0])
-        return kernels.all_pairs_at_least(vectors, k, t)
+        vectors = []
+        for member in self.members:
+            vec = [0] * self.n_ground
+            for x in member:
+                vec[x - 1] = 1
+            vectors.append(tuple(vec))
+        return kernels.all_pairs_at_least(vectors, len(self.members[0]), t)
 
 
 def build_ak_set_family(n_ground: int, k: int, t: int, i: int) -> SetFamily:

@@ -7,7 +7,15 @@ from itertools import permutations
 
 import pytest
 
-from multiekr import BudgetError, DimensionError, ParameterError, multiset_vectors
+from multiekr import (
+    BudgetError,
+    DimensionError,
+    ParameterError,
+    SetFamily,
+    build_optimal_multiset_family,
+    lift_to_sets,
+    multiset_vectors,
+)
 from multiekr import _kernels_py as pure
 from multiekr import kernels
 from multiekr.bounds import multiset_bound
@@ -484,6 +492,116 @@ class TestStaircaseHeight:
     def test_region_sets_the_height(self):
         # the region may be taller than k; the masks are as tall as it
         assert kernels.all_pairs_at_least_in_region([(2, 0), (2, 0)], 2, (3, 0), 2)
+
+
+def _least_meet(vecs, region=None, start=0):
+    """min over pairs i <= j, j >= start, of sum_c min(a_c, b_c, region_c):
+    from the definition, the largest t at which the pair predicates hold
+    when start is 0, and the pairs of the members from start on otherwise."""
+    if region is not None:
+        vecs = [tuple(map(min, v, region)) for v in vecs]
+    return min(_shared(vecs[i], vecs[j]) for j in range(start, len(vecs)) for i in range(j + 1))
+
+
+def _near_miss(vecs, k, t):
+    """One vector more, at height k: it meets every member in at least t
+    cells except the member of least support, which it meets in t - 1."""
+    low = min(vecs, key=lambda v: (sum(map(bool, v)), v))
+    extra, short = [0 if a else k for a in low], t - 1
+    for c, a in enumerate(low):
+        extra[c] = min(a, short)
+        short -= extra[c]
+    return vecs + [tuple(extra)]
+
+
+@pytest.fixture(params=["chosen", "pairs", "sliced"])
+def pair_path(request, monkeypatch):
+    """Run the pair predicates on the check their cost picks, or force one."""
+    forced = {"pairs": 10**9, "sliced": 0}.get(request.param)
+    if forced is not None:
+        monkeypatch.setattr(pure, "SLICED_CELL_COST", forced)
+    return request.param
+
+
+class TestPairPredicates:
+    """Both checks against the sum-of-minima definition, at the sizes where
+    the bit-sliced check runs: certified optimal families of 165 and 210
+    members, their lifts, and a t = 2 family with multiplicities."""
+
+    FAMILIES = ((20, 3, 1), (9, 4, 1), (9, 5, 2))
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        out = []
+        for n, k, t in self.FAMILIES:
+            fam = build_optimal_multiset_family(n, k, t)
+            vecs = fam.mult_vectors()
+            lifted = lift_to_sets(fam, t)
+            ground = range(1, lifted.n_ground + 1)
+            sets = [tuple(int(x in m) for x in ground) for m in lifted.members]
+            # zeros and columns taller than k; None is every column at full height
+            for members, region in ((vecs, None), (vecs, (k + 1, 0, 1) * n), (sets, None)):
+                region = region and region[:len(members[0])]
+                least = _least_meet(members, region)
+                missed = _near_miss(members, k if members is vecs else 1, t)
+                extra = _least_meet(missed, region, start=len(members))
+                out += [(members, k, region, least), (missed, k, region, min(least, extra))]
+            # each family's own t, and its near miss falls one cell short of it
+            assert [case[3] for case in out[-6:-4] + out[-2:]] == [t, t - 1] * 2
+        return out
+
+    def test_match_the_definition(self, cases, pair_path):
+        for vecs, k, region, least in cases:
+            for t in range(0, k + 2):
+                if region is None:
+                    got = kernels.all_pairs_at_least(vecs, k, t)
+                else:
+                    got = kernels.all_pairs_at_least_in_region(vecs, k, region, t)
+                assert got == (t <= least), (len(vecs), k, region, t, pair_path)
+
+    def test_set_families(self, pair_path):
+        for n, k, t in self.FAMILIES:
+            lifted = lift_to_sets(build_optimal_multiset_family(n, k, t), t)
+            for s in range(k + 2):
+                assert lifted.is_t_intersecting(s) == (s <= t), (n, k, t, s)
+            # a k-subset disjoint from one member's support meets it in t - 1 = 0
+            if t == 1:
+                low = min(lifted.members, key=len)
+                extra = tuple(x for x in range(1, lifted.n_ground + 1) if x not in low)[:k]
+                missed = SetFamily(lifted.n_ground, lifted.members + (extra,))
+                least = min(len(set(a) & set(b)) for a in missed for b in missed)
+                assert missed.is_t_intersecting(1) == (least >= 1)
+
+    def test_one_column_reaches_t(self, pair_path):
+        # the pairs meet only in column 0, three cells deep: t = 3 needs
+        # every level below t, not only those below t - 1
+        vecs = [(3, 0, 0)] + [(3, 1, 0)] * 20 + [(4, 0, 1)] * 20
+        assert kernels.all_pairs_at_least(vecs, 4, 3)
+        assert not kernels.all_pairs_at_least(vecs, 4, 4)
+        assert kernels.all_pairs_at_least_in_region(vecs, 4, (3, 0, 0), 3)
+        assert not kernels.all_pairs_at_least_in_region(vecs, 4, (2, 1, 1), 3)
+
+    def test_a_lone_member_is_its_own_pair(self, pair_path):
+        # |F cap F| = |F|: for one member the diagonal alone decides
+        for t in range(0, 5):
+            assert kernels.all_pairs_at_least([(1, 2, 0)], 3, t) == (t <= 3)
+            assert kernels.all_pairs_at_least_in_region([(1, 2, 0)], 3, (1, 1, 1), t) == (t <= 2)
+
+    def test_ragged_input_raises(self, pair_path):
+        # zero-padded, these read True, False and True
+        with pytest.raises(DimensionError):
+            kernels.all_pairs_at_least([(1, 1), (1, 1, 0)], 2, 2)
+        with pytest.raises(DimensionError):
+            kernels.all_pairs_at_least_in_region([(1, 1), (1, 1)], 2, (1,), 2)
+        with pytest.raises(DimensionError):
+            kernels.compatible_with_all((1, 1), [(1, 1, 0)], 2, 2)
+        # a miss against a shorter vector, and ragged members, raise too
+        with pytest.raises(DimensionError):
+            kernels.compatible_with_all((0, 0, 2), [(1, 1)], 2, 1)
+        with pytest.raises(DimensionError):
+            kernels.all_pairs_at_least([(1, 1)] * 40 + [(1, 1, 0)], 2, 1)
+        with pytest.raises(DimensionError):
+            kernels.all_pairs_at_least_in_region([(1, 1)] * 40, 2, (1, 1, 1), 1)
 
 
 class TestDispatch:
