@@ -9,8 +9,8 @@ levels slice the other way: one bit set per cell, with a bit per vertex
 (or member) that owns the cell. :func:`_column_levels` reads them from the
 whole list at once, as one byte string, with no Python work per vertex.
 The trie walk, the column orbits and the bit-sliced pair check read the
-levels; that check tests each member of a large family against the
-levels of its own cells, capped at t, not against every other member.
+levels; at t = 1 that check tests each member of a large family against
+the first levels of its own columns, not against every other member.
 
 One decision picks the work. :func:`_canonical_levels` recognises the
 canonical list, ``multiset_vectors(n, s, cap)`` in its own order with
@@ -31,10 +31,9 @@ by the same counter that checks the canonical list's vector sums.
 These are the only implementations of the pair checks, the adjacency, the
 column orbits and the clique search; set families use the same pair
 predicates, each k-subset as a 0/1 vector, and the predicates pick the
-pair check or the bit-sliced one from a cost computed from their input.
-Every path raises ParameterError when an
-entry exceeds k or is negative, and DimensionError when the vectors differ
-in length.
+pair check or the bit-sliced one from their input. Every path raises
+ParameterError when an entry exceeds k or is negative, and DimensionError
+when the vectors differ in length.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from __future__ import annotations
 import sys
 from functools import reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, getitem, itemgetter, lt, or_
+from operator import add, itemgetter, lt, or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetError, DimensionError, ParameterError
@@ -73,9 +72,11 @@ def staircase_mask(vec: Sequence[int], k: int) -> int:
     return mask
 
 
-# A pair row costs one popcount per member; the bit-sliced check of a member
-# costs about this many of them per capped cell and unit of t (measured on
-# families of 12 to 250 members, t = 1 to 4)
+# At t = 1 the bit-sliced check of a member costs about this many pair-row
+# popcounts per column it holds, the level read included: timed on the t = 1
+# families of one round of each benchmark workload, the pair loop was faster
+# up to 13-17 members at k = 2 and 14-21 at k = 3, and the sliced check
+# faster from there, by 8x at 165 and 210 members
 SLICED_CELL_COST = 6
 
 
@@ -87,17 +88,14 @@ def _pairs_at_least(
 ) -> bool:
     """min over pairs (diagonal included) of sum_c min(a_c, b_c, region_c) >= t.
 
-    The region is every column at full height when None. Two checks give
-    the same answer, and the cheaper one runs. A member's capped cells are
-    its cells (c, r) with r < min(t, region_c): a member of a k-multiset
-    family has at most min(k, sum_c min(t, region_c)) of them. The pair
-    check costs about one popcount per member for each member; the
-    bit-sliced check about SLICED_CELL_COST per capped cell and unit of t,
-    so it runs when the members outnumber that. Raises ParameterError when
-    an entry exceeds the height, max(k, max(region)), or is negative, and
+    The region is every column at full height when None. The pair check
+    costs one popcount per member for each member. At t = 1 a member holds
+    at most min(k, n) columns, and when the members outnumber
+    SLICED_CELL_COST times that, :func:`_sliced_intersecting` answers
+    instead, in O(N * min(k, n)) big-int ORs. Raises ParameterError when an
+    entry exceeds the height, max(k, max(region)), or is negative, and
     DimensionError when the vectors, or the region, differ in length.
     """
-    nv = len(vectors)
     if region is None:
         n = _width(vectors)
         height, region_mask = k, -1
@@ -105,13 +103,10 @@ def _pairs_at_least(
         n = _width(chain(vectors, [region]))
         height = max(k, max(region, default=0))
         region_mask = staircase_mask(region, height)
-    # the cell bound is summed only for a family large enough to need it
-    if t > 0 and nv > SLICED_CELL_COST * t and nv > SLICED_CELL_COST * t * min(
-        k, n * t if region is None else sum(map(min, region, repeat(t)))
-    ):
-        levels = _column_levels(vectors, height, t)
+    if t == 1 and len(vectors) > SLICED_CELL_COST * min(k, n):
+        levels = _column_levels(vectors, height, 1)
         if levels is not None:
-            return _sliced_at_least(vectors, levels, region, t)
+            return _sliced_intersecting(vectors, levels, region)
     masks = [staircase_mask(v, height) for v in vectors]
     for i in range(len(masks)):
         mi = masks[i] & region_mask
@@ -121,41 +116,25 @@ def _pairs_at_least(
     return True
 
 
-def _sliced_at_least(
+def _sliced_intersecting(
     vectors: Sequence[Sequence[int]],
     levels: list[list[int]],
     region: Optional[Sequence[int]],
-    t: int,
 ) -> bool:
-    """Every member shares at least t capped cells with every member.
+    """Every member shares a cell of the region with every member: t = 1.
 
-    ``levels[c][r]`` holds the members whose entry in column c is above r,
-    for r < t, as :func:`_column_levels` reads them. Only the levels below
-    t and the region count: sum_c min(a_c, b_c) >= t holds exactly when
-    sum_c min(a_c, b_c, t) >= t, since a column that reaches t alone
-    reaches it capped too. For each member, ``shared[q]`` gathers the
-    members that share at least q of its capped cells, one cell at a time,
-    and row t must hold every member, itself included: that is its own
-    diagonal, |F| >= t. At t = 1 row 1 is the OR of the levels of its
-    columns. O(N * cells * t) big-int operations for N members.
+    ``levels[c][0]``, as :func:`_column_levels` reads it, holds the members
+    with an entry in column c. Two members share a cell exactly when they
+    share a column, so each member needs the OR of its columns' first
+    levels, within the region, to hold every member, itself included: that
+    is its own diagonal, |F| >= 1. O(N * min(k, n)) big-int ORs for N
+    members.
     """
     everyone = (1 << len(vectors)) - 1
+    first = [lv[0] if lv else 0 for lv in levels]
     if region is not None:
-        levels = [lv[:h] for lv, h in zip(levels, region)]
-    if t == 1:
-        first = [lv[0] if lv else 0 for lv in levels]
-        return all(reduce(or_, compress(first, vec), 0) == everyone for vec in vectors)
-    window = range(t, 0, -1)
-    for vec in vectors:
-        shared = [everyone] + [0] * t
-        for cell in chain.from_iterable(
-            map(getitem, compress(levels, vec), map(slice, filter(None, vec)))
-        ):
-            for q in window:
-                shared[q] |= shared[q - 1] & cell
-        if shared[t] != everyone:
-            return False
-    return True
+        first = [lv if h else 0 for lv, h in zip(first, region)]
+    return all(reduce(or_, compress(first, vec), 0) == everyone for vec in vectors)
 
 
 def all_pairs_at_least(
@@ -163,10 +142,9 @@ def all_pairs_at_least(
 ) -> bool:
     """min over pairs (diagonal included) of |Fi cap Fj| >= t.
 
-    Capping every entry at t keeps the answer, so a large family at small
-    t is checked bit-sliced, in O(N * cells * t) big-int operations, and
-    any other pair by pair, in O(N²) popcounts; :func:`_pairs_at_least`
-    states the cost that picks one.
+    Checked pair by pair, in O(N²) popcounts, except a large family at
+    t = 1: it is checked bit-sliced, in O(N * min(k, n)) big-int ORs;
+    :func:`_pairs_at_least` states the cost that picks one.
     """
     return _pairs_at_least(vectors, k, t)
 
@@ -179,8 +157,7 @@ def all_pairs_at_least_in_region(
 ) -> bool:
     """min over pairs (diagonal included) of |Fi cap Fj cap region| >= t.
 
-    Checked as :func:`all_pairs_at_least` checks it, with each column
-    capped at min(t, region_c).
+    Checked as :func:`all_pairs_at_least` checks it, within the region.
     """
     return _pairs_at_least(vectors, k, t, region)
 
@@ -192,16 +169,13 @@ def compatible_with_all(
 
     The greedy corpus asks this once per candidate and most candidates miss
     one of the first vectors, so the lengths are checked where the answer
-    is made: a miss against the candidate's length, an acceptance against
-    every vector's. Raises DimensionError when they differ.
+    is made, of the candidate and every vector read up to then. Raises
+    DimensionError when they differ.
     """
     cmask = staircase_mask(cand, k)
-    for v in vectors:
+    for i, v in enumerate(vectors):
         if (cmask & staircase_mask(v, k)).bit_count() < t:
-            if len(v) != len(cand):
-                raise DimensionError(
-                    f"vectors of different lengths {sorted({len(cand), len(v)})}"
-                )
+            _width(chain([cand], islice(vectors, i + 1)))
             return False
     _width(chain([cand], vectors))
     return True
@@ -227,8 +201,8 @@ def _column_levels(
     The list is read once, as one byte string with a vector every n bytes,
     so a column is every n-th byte from its offset. A column's list runs
     up to its largest entry, or to depth levels when that is less (the
-    pair predicates need only r < t), and vectors[0] is the top bit, as in
-    the rows.
+    pair predicates read only the first), and vectors[0] is the top bit, as
+    in the rows.
     Each level is parsed from the column's bytes, so no Python loop runs
     over the vertices. Returns None when an entry is not a byte: above 255,
     or negative. Raises ParameterError when an entry exceeds k and

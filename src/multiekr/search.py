@@ -268,8 +268,8 @@ class SetFamily:
         """True when every pair of members, a member with itself included,
         shares at least t points: each k-subset goes through the multiset
         pair check as a 0/1 vector, built from its k points. On a large
-        family at small t that check is bit-sliced: the members are tested
-        against the sets of members that hold each point, not pair by pair."""
+        family at t = 1 that check is bit-sliced: each member is tested
+        against the sets of members that hold its points, not pair by pair."""
         if not self.members:
             return True
         vectors = []

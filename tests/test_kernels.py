@@ -516,7 +516,8 @@ def _near_miss(vecs, k, t):
 
 @pytest.fixture(params=["chosen", "pairs", "sliced"])
 def pair_path(request, monkeypatch):
-    """Run the pair predicates on the check their cost picks, or force one."""
+    """Run the pair predicates on the check their cost picks, or force one;
+    the bit-sliced check serves t = 1 only, so at t >= 2 the pairs run."""
     forced = {"pairs": 10**9, "sliced": 0}.get(request.param)
     if forced is not None:
         monkeypatch.setattr(pure, "SLICED_CELL_COST", forced)
@@ -526,7 +527,8 @@ def pair_path(request, monkeypatch):
 class TestPairPredicates:
     """Both checks against the sum-of-minima definition, at the sizes where
     the bit-sliced check runs: certified optimal families of 165 and 210
-    members, their lifts, and a t = 2 family with multiplicities."""
+    members, their lifts, and a t = 2 family with multiplicities, each at
+    every t from 0 to k + 1."""
 
     FAMILIES = ((20, 3, 1), (9, 4, 1), (9, 5, 2))
 
@@ -573,13 +575,19 @@ class TestPairPredicates:
                 assert missed.is_t_intersecting(1) == (least >= 1)
 
     def test_one_column_reaches_t(self, pair_path):
-        # the pairs meet only in column 0, three cells deep: t = 3 needs
-        # every level below t, not only those below t - 1
+        # the pairs meet only in column 0, three cells deep: a column that
+        # reaches t alone counts all of its cells
         vecs = [(3, 0, 0)] + [(3, 1, 0)] * 20 + [(4, 0, 1)] * 20
         assert kernels.all_pairs_at_least(vecs, 4, 3)
         assert not kernels.all_pairs_at_least(vecs, 4, 4)
         assert kernels.all_pairs_at_least_in_region(vecs, 4, (3, 0, 0), 3)
         assert not kernels.all_pairs_at_least_in_region(vecs, 4, (2, 1, 1), 3)
+
+    def test_a_zero_column_of_the_region_holds_nothing(self, pair_path):
+        # the first member meets the others only in column 1
+        vecs = [(1, 1, 0)] + [(0, 1, 1)] * 20
+        assert kernels.all_pairs_at_least_in_region(vecs, 2, (1, 1, 0), 1)
+        assert not kernels.all_pairs_at_least_in_region(vecs, 2, (1, 0, 1), 1)
 
     def test_a_lone_member_is_its_own_pair(self, pair_path):
         # |F cap F| = |F|: for one member the diagonal alone decides
@@ -595,9 +603,12 @@ class TestPairPredicates:
             kernels.all_pairs_at_least_in_region([(1, 1), (1, 1)], 2, (1,), 2)
         with pytest.raises(DimensionError):
             kernels.compatible_with_all((1, 1), [(1, 1, 0)], 2, 2)
-        # a miss against a shorter vector, and ragged members, raise too
+        # a miss against a shorter vector, a miss after a longer one, and
+        # ragged members raise too
         with pytest.raises(DimensionError):
             kernels.compatible_with_all((0, 0, 2), [(1, 1)], 2, 1)
+        with pytest.raises(DimensionError):
+            kernels.compatible_with_all((1, 1), [(1, 1, 0), (0, 0)], 2, 1)
         with pytest.raises(DimensionError):
             kernels.all_pairs_at_least([(1, 1)] * 40 + [(1, 1, 0)], 2, 1)
         with pytest.raises(DimensionError):
