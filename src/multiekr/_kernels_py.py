@@ -167,17 +167,19 @@ def compatible_with_all(
 ) -> bool:
     """True when the candidate t-intersects every listed vector.
 
-    The greedy corpus asks this once per candidate and most candidates miss
-    one of the first vectors, so the lengths are checked where the answer
-    is made, of the candidate and every vector read up to then. Raises
-    DimensionError when they differ.
+    The answer comes at the first vector the candidate misses; the greedy
+    corpus asks this once per candidate, and most candidates miss one of
+    the first vectors. Raises DimensionError when a vector read up to then
+    differs in length from the candidate, so an accepted candidate has the
+    length of every vector.
     """
+    n = len(cand)
     cmask = staircase_mask(cand, k)
-    for i, v in enumerate(vectors):
+    for v in vectors:
+        if len(v) != n:
+            raise DimensionError(f"vectors of different lengths {sorted({n, len(v)})}")
         if (cmask & staircase_mask(v, k)).bit_count() < t:
-            _width(chain([cand], islice(vectors, i + 1)))
             return False
-    _width(chain([cand], vectors))
     return True
 
 
