@@ -33,7 +33,8 @@ column orbits and the clique search; set families use the same pair
 predicates, each k-subset as a 0/1 vector, and the predicates pick the
 pair check or the bit-sliced one from their input. Every path raises
 ParameterError when an entry exceeds k or is negative, and DimensionError
-when the vectors differ in length.
+when the vectors it reads differ in length; only ``compatible_with_all``
+stops reading at its answer.
 """
 
 from __future__ import annotations
