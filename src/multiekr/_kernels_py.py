@@ -25,8 +25,10 @@ closed and with the lowest vertex on the top bit; ``adjacency_bitsets``
 states that layout, and the column orbits and the branch and bound read
 it. :func:`column_orbits` takes only the canonical list's levels, so a
 refutation prunes by orbits only on a list that column permutations map
-onto itself. Its shape classes come from counting the levels bit-sliced,
-by the same counter that checks the canonical list's vector sums.
+onto itself. Its orbits are a partition of the candidate set, and one
+refinement, :func:`_refine`, builds both the shape classes and every
+path's orbits from the levels, counted bit-sliced by the same counter
+that checks the canonical list's vector sums.
 
 These are the only implementations of the pair checks, the adjacency, the
 column orbits and the clique search; set families use the same pair
@@ -41,8 +43,8 @@ from __future__ import annotations
 
 import sys
 from functools import reduce
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, itemgetter, lt, or_
+from itertools import chain, compress, islice, repeat
+from operator import lt, or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetError, DimensionError, ParameterError
@@ -381,21 +383,31 @@ def adjacency_bitsets(
     return adj
 
 
-def _members(bits: int, nv: int) -> list[int]:
-    """The vertices of an ``nv``-vertex set, ascending, from one ``bin`` scan.
+def _refine(
+    parts: list[int], levels: list[list[int]], groups: Iterable[Sequence[int]]
+) -> list[int]:
+    """Split the vertex sets so two vertices stay together only when, for
+    every group of columns and every r, as many of the group's columns hold
+    an entry above r.
 
-    Read from its top, the string lists the vertices in ascending order;
-    its ``0b`` prefix counts as two places of the first zero run.
+    Those counts, over r, are the conjugate of the values a vertex holds on
+    the group, so two vertices stay together exactly when they hold the same
+    multiset of values on every group. ``levels`` are the column levels as
+    :func:`_column_levels` reads them; each count is taken bit-sliced by
+    :func:`_tally`, with no Python work per vertex.
     """
-    gaps = bin(bits).split("1")[:-1]  # the zero runs above each set bit
-    return list(map(add, accumulate(map(len, gaps)), count(nv - bits.bit_length() - 2)))
+    for cols in groups:
+        for r in range(max((len(levels[c]) for c in cols), default=0)):
+            for bit in _tally(levels[c][r] for c in cols if len(levels[c]) > r):
+                parts = [p for part in parts for p in (part & bit, part & ~bit) if p]
+    return parts
 
 
 def column_orbits(
     vectors: list[tuple[int, ...]],
     levels: list[list[int]],
-) -> Callable[[tuple[int, ...], int], dict[int, int]]:
-    """Orbits of the column permutations that fix a path, as vertex sets.
+) -> Callable[[tuple[int, ...], int], list[int]]:
+    """Orbits of the column permutations that fix a path, as a partition.
 
     ``levels`` are the list's column levels, and the list must be closed
     under column permutations: every one maps it onto itself, so, as it
@@ -406,67 +418,29 @@ def column_orbits(
     the classes need not be orbits of any automorphism, and pruning by them
     can lose the maximum. An empty list is closed.
 
-    The shapes are found bit-sliced, with no Python work per vertex: the
-    number of columns whose entry is above r is the (r+1)-th part of the
-    conjugate of a vertex's shape, so counting the levels ``levels[c][r]``
-    over c, for each r, splits the vertices into their shape classes.
-
     Returns ``orbit_masks(path, cand)``. ``path`` is a tuple of vertices
-    and ``cand`` a vertex set in the layout of
-    :func:`adjacency_bitsets`; the result maps each vertex w of ``cand`` to
-    the set of the members of ``cand`` in w's orbit under the column
-    permutations that fix every vertex of ``path``. Those permutations are
-    the ones that keep each class of columns with one profile
+    and ``cand`` a vertex set in the layout of :func:`adjacency_bitsets`;
+    the result is a list of disjoint, nonzero vertex sets whose union is
+    ``cand``: its orbits under the column permutations that fix every
+    vertex of ``path``, each cut to ``cand``. Those permutations are the
+    ones that keep each class of columns with one profile
     ``(v[c] for v in path)``, so two vertices share an orbit exactly when
     they have the same shape and the same multiset of values on every class
-    whose profile is not all zero, singleton classes included; the values on
-    the all-zero class follow from the shape. At the empty path the orbits
-    are the shape classes, cut to ``cand``. A longer path costs
-    O(|cand|·|support of the path|) beyond one scan of ``cand``.
+    whose profile is not all zero, singleton classes included; the values
+    on the all-zero class follow from the shape. :func:`_refine` splits the
+    vertices by their shapes once, over every column as one group, and
+    each call splits the shape classes, cut to ``cand``, over the path's
+    classes, all bit-sliced. At the empty path the orbits are the shape
+    classes cut to ``cand``.
     """
-    nv = len(vectors)
-    shapes = [(1 << nv) - 1] if nv else []
-    for r in range(max(map(len, levels), default=0)):
-        for bit in _tally(col[r] for col in levels if len(col) > r):
-            shapes = [part for cls in shapes for part in (cls & bit, cls & ~bit) if part]
-    # each vertex's shape index, a base-256 digit at a time: the binary
-    # digits of a class translate to that digit of its index at its members
-    shape_of: list[int] = []
-    for d in range(0, max(len(shapes) - 1, 1).bit_length(), 8):
-        acc = 0
-        for sid, cls in enumerate(shapes):
-            table = bytes.maketrans(b"01", bytes((0, sid >> d & 255)))
-            acc |= int.from_bytes(format(cls, f"0{nv}b").encode().translate(table), "big")
-        digit = acc.to_bytes(nv, "big")
-        shape_of = list(map(add, shape_of, map((1 << d).__mul__, digit))) if d else list(digit)
+    shapes = _refine([(1 << len(vectors)) - 1], levels, [range(len(levels))])
 
-    def orbit_masks(path: tuple[int, ...], cand: int) -> dict[int, int]:
-        members = _members(cand, nv)
-        sids = map(shape_of.__getitem__, members)
-        if not path:
-            parts = [cls & cand for cls in shapes]
-            return dict(zip(members, map(parts.__getitem__, sids)))
+    def orbit_masks(path: tuple[int, ...], cand: int) -> list[int]:
         classes: dict[tuple[int, ...], list[int]] = {}
         for c, profile in enumerate(zip(*map(vectors.__getitem__, path))):
             if any(profile):
                 classes.setdefault(profile, []).append(c)
-        chosen = list(map(vectors.__getitem__, members))
-        keys: list[Iterable] = [sids]
-        for cols in classes.values():
-            values = map(itemgetter(*cols), chosen)
-            keys.append(values if len(cols) == 1 else map(tuple, map(sorted, values)))
-        orbits: dict[tuple, list[int]] = {}
-        for w, key in zip(members, zip(*keys)):
-            orbits.setdefault(key, []).append(w)
-        masks: dict[int, int] = {}
-        for orbit in orbits.values():
-            # parsed once from binary digits, not OR-ed one vertex bit at a time
-            low, high = orbit[0], orbit[-1]
-            digits = bytearray(b"0") * (high - low + 1)
-            for w in orbit:
-                digits[w - low] = 49  # ord("1"); the lowest vertex comes first
-            masks.update(dict.fromkeys(orbit, int(digits, 2) << (nv - 1 - high)))
-        return masks
+        return _refine([p for cls in shapes if (p := cls & cand)], levels, classes.values())
 
     return orbit_masks
 
@@ -476,7 +450,7 @@ def branch_and_bound(
     node_budget: int,
     stop_at: int,
     lower_bound: int,
-    orbits: Optional[Callable[[tuple[int, ...], int], dict[int, int]]] = None,
+    orbits: Optional[Callable[[tuple[int, ...], int], list[int]]] = None,
 ) -> tuple[int, list[int], int]:
     """Exact maximum clique of the graph whose vertex i has the row adj[i].
 
@@ -493,14 +467,16 @@ def branch_and_bound(
     the returned witness list is empty.
 
     ``orbits``, when given, prunes by symmetry at depths 0 and 1. It is an
-    ``orbit_masks`` callback as :func:`column_orbits` states it, for a group
-    of graph automorphisms that maps each set it is asked about onto
-    itself. The search asks for the orbits of all vertices at the root, and
-    below each root branch on v for those of the depth-1 candidates with
+    ``orbit_masks`` callback as :func:`column_orbits` states it: given a
+    path and a candidate set, it returns the set's partition into orbits of
+    a group of graph automorphisms that fix the path and map the set onto
+    itself. The search asks for the partition of all vertices at the root,
+    and below each root branch on v for that of the depth-1 candidates with
     the path ``(v,)``. Once the branch on v at depth 0 or 1 is exhausted,
-    v's whole orbit leaves that depth's candidate set, and the colour order
-    skips the vertices that left. The size stays exact; the witness is then
-    one maximum clique, not necessarily the one the plain search returns.
+    the part that holds v, its whole orbit, leaves that depth's candidate
+    set, and the colour order skips the vertices that left. The size stays
+    exact; the witness is then one maximum clique, not necessarily the one
+    the plain search returns.
 
     Returns (best_size, sorted_witness, nodes). Raises BudgetError when
     more than ``node_budget`` tree nodes would be expanded.
@@ -508,7 +484,7 @@ def branch_and_bound(
     nv = len(adj)
     state = [max(0, lower_bound), [], 0]  # best_size, best, nodes
 
-    def expand(cur: list[int], cand: int, orbit_of: Optional[dict[int, int]]) -> None:
+    def expand(cur: list[int], cand: int, orbit_of: Optional[list[int]]) -> None:
         state[2] += 1
         if state[2] > node_budget:
             raise BudgetError(
@@ -556,7 +532,7 @@ def branch_and_bound(
                 state[1] = cur.copy()
             cur.pop()
             if orbit_of is not None:
-                cand ^= cand & orbit_of[v]
+                cand &= ~next(p for p in orbit_of if p & bit)
             if stop_at > 0 and state[0] >= stop_at:
                 return
 

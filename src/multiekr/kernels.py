@@ -9,7 +9,8 @@ a walk of the multiset trie builds the canonical list's rows, the pair
 checks any other list's, in one layout. It runs
 ``_kernels_py.branch_and_bound`` on the rows; a refutation of the
 canonical list also prunes by the column orbits of
-``_kernels_py.column_orbits``, built from the same levels.
+``_kernels_py.column_orbits``, partitions of the candidate sets refined
+from the same levels.
 """
 
 from __future__ import annotations

@@ -165,9 +165,9 @@ def max_t_intersecting(
     """Exact maximum size of a t-intersecting family of k-multisets of [n].
 
     Needs 1 <= t <= k and n >= 1. ``method`` selects the engine: "pruned"
-    is the branch-and-bound with candidate-count and coloring bounds (plus,
-    where multiset_bound_proven holds, early stop at the proven AK bound,
-    which cannot change the exact result); "oracle" is the independent
+    is the branch-and-bound with the greedy-coloring bound (plus, where
+    multiset_bound_proven holds, early stop at the proven AK bound, which
+    cannot change the exact result); "oracle" is the independent
     cross-check, the largest maximal clique by pivoted Bron–Kerbosch.
     Budgets are hard: exceeding the vertex or node budget raises
     BudgetError rather than degrading.

@@ -3,7 +3,9 @@ bound's contracts, pinned node counts and orbit pruning."""
 
 import gc
 import random
+from functools import reduce
 from itertools import permutations
+from operator import or_
 
 import pytest
 
@@ -63,19 +65,24 @@ def _shared(a, b):
 
 
 def _orbit_sets(key, cand, nv):
-    """Per vertex w of ``cand``, the members of ``cand`` with w's key, OR-ed
-    one vertex bit at a time (vertex w at bit nv - 1 - w)."""
-    members = [w for w in range(nv) if cand >> (nv - 1 - w) & 1]
+    """The partition of ``cand`` by the key, each part OR-ed one vertex bit
+    at a time (vertex w at bit nv - 1 - w), in ascending order."""
     sets: dict = {}
-    for w in members:
-        sets[key(w)] = sets.get(key(w), 0) | 1 << (nv - 1 - w)
-    return {w: sets[key(w)] for w in members}
+    for w in range(nv):
+        if cand >> (nv - 1 - w) & 1:
+            sets[key(w)] = sets.get(key(w), 0) | 1 << (nv - 1 - w)
+    return sorted(sets.values())
+
+
+def _part_of(parts, w, nv):
+    """The part that holds vertex w."""
+    return next(p for p in parts if p >> (nv - 1 - w) & 1)
 
 
 def _profile_key(vecs, path):
     """w's sorted values on each class of columns with one profile along
-    ``path``, the all-zero class included: the orbit of w under the column
-    permutations that fix the path, stated without shape ids."""
+    ``path``, the all-zero class included, which stands in for the shape:
+    the orbit of w under the column permutations that fix the path."""
     classes: dict = {}
     for c in range(len(vecs[0])):
         classes.setdefault(tuple(vecs[v][c] for v in path), []).append(c)
@@ -254,7 +261,7 @@ class TestOrbitPruning:
             assert pure._canonical_levels(vecs[:i] + vecs[i + 1:], 3) is None, vecs[i]
         assert pure._canonical_levels(vecs + vecs[:1], 3) is None
         # the empty list is closed, and has no vertex to map
-        assert kernels.column_orbits([], [])((), 0) == {}
+        assert kernels.column_orbits([], [])((), 0) == []
         # canonical, but an entry above a byte: no levels, so no pruning
         assert pure._canonical_levels(list(multiset_vectors(2, 300)), 300) is None
 
@@ -275,64 +282,57 @@ class TestOrbitPruning:
         bit = {w: 1 << (nv - 1 - i) for i, w in enumerate(vecs)}
         orbits = kernels.column_orbits(vecs, pure._canonical_levels(vecs, 3))
         root = orbits((), (1 << nv) - 1)
-        assert len(set(root.values())) == 3  # shapes (3), (2,1), (1,1,1)
-        assert all((root[i] == root[j]) == (sorted(a) == sorted(b))
+        assert len(root) == 3  # shapes (3), (2,1), (1,1,1)
+        assert all((_part_of(root, i, nv) == _part_of(root, j, nv)) == (sorted(a) == sorted(b))
                    for i, a in enumerate(vecs) for j, b in enumerate(vecs))
         v = vecs.index((2, 1, 0, 0))  # its stabiliser swaps the last two columns
         below = orbits((v,), (1 << nv) - 1)
         pair = bit[(0, 0, 1, 2)] | bit[(0, 0, 2, 1)]
-        assert below[vecs.index((0, 0, 1, 2))] == below[vecs.index((0, 0, 2, 1))] == pair
-        assert below[vecs.index((1, 2, 0, 0))] != below[vecs.index((2, 1, 0, 0))]
-        assert len(set(below.values())) == 13  # (20 vectors + 6 fixed by the swap) / 2
-        # fewer candidates: a mask each, holding the candidates of its orbit
+        assert pair in below
+        assert (_part_of(below, vecs.index((1, 2, 0, 0)), nv)
+                != _part_of(below, vecs.index((2, 1, 0, 0)), nv))
+        assert len(below) == 13  # (20 vectors + 6 fixed by the swap) / 2
+        # fewer candidates: the orbits cut to them
         cand = pair | bit[(0, 1, 2, 0)]
-        few = orbits((v,), cand)
-        assert few == {vecs.index((0, 0, 1, 2)): pair, vecs.index((0, 1, 2, 0)): bit[(0, 1, 2, 0)],
-                       vecs.index((0, 0, 2, 1)): pair}
-        assert orbits((), cand) == {w: root[w] & cand for w in few}
+        assert sorted(orbits((v,), cand)) == sorted([pair, bit[(0, 1, 2, 0)]])
+        assert sorted(orbits((), cand)) == sorted(p & cand for p in root if p & cand)
 
-    def test_members_and_orbit_masks_match_bit_loop(self):
-        # the search's set readers against loops over every vertex bit,
-        # vertex v at bit nv - 1 - v: the empty set, {0}, {nv - 1}, everyone
-        rng = random.Random(61)
-
-        def sets(nv):
-            return [0, 1 << (nv - 1), 1, (1 << nv) - 1] + [rng.getrandbits(nv) for _ in range(4)]
-
-        for nv in (1, 2, 63, 64, 65, 300, 3003):
-            for bits in sets(nv):
-                members = [v for v in range(nv) if bits >> (nv - 1 - v) & 1]
-                assert pure._members(bits, nv) == members, (nv, bits)
+    def test_orbit_masks_match_bit_loop(self):
+        # the partition against one built by a loop over every vertex bit,
+        # vertex v at bit nv - 1 - v: the empty set, {0}, {nv - 1}, everyone;
         # 1, 2, 70, 252 and 3003 vertices, at paths of length 0, 1 and 2
+        rng = random.Random(61)
         for n, k in ((1, 1), (2, 1), (5, 4), (6, 5), (9, 6)):
             vecs = list(multiset_vectors(n, k))
             nv = len(vecs)
             orbit_masks = kernels.column_orbits(vecs, pure._canonical_levels(vecs, k))
-            for bits in sets(nv):
+            sets = [0, 1 << (nv - 1), 1, (1 << nv) - 1] + [rng.getrandbits(nv) for _ in range(4)]
+            for bits in sets:
                 for depth in range(min(nv, 2) + 1):
                     path = tuple(rng.sample(range(nv), depth))
                     expected = _orbit_sets(_profile_key(vecs, path), bits, nv)
-                    assert orbit_masks(path, bits) == expected, (n, k, path, bits)
+                    assert sorted(orbit_masks(path, bits)) == expected, (n, k, path, bits)
 
-    def test_more_shapes_than_a_byte_numbers(self):
-        # 276 shapes {a, b}: each vertex's shape index takes two base-256
-        # digits; the list is closed, not canonical, so its levels are read here
+    def test_many_shape_classes(self):
+        # 276 shapes {a, b}, with values up to 22: as many levels per column;
+        # the list is closed, not canonical, so its levels are read here
         vecs = [(a, b) for a in range(23) for b in range(23)]
         nv = len(vecs)
         orbit_masks = kernels.column_orbits(vecs, pure._column_levels(vecs, 255))
+        assert len(orbit_masks((), (1 << nv) - 1)) == 276
         for path in ((), (vecs.index((3, 3)),), (vecs.index((3, 4)),)):
             for cand in ((1 << nv) - 1, random.Random(len(path)).getrandbits(nv)):
                 expected = _orbit_sets(_profile_key(vecs, path), cand, nv)
-                assert orbit_masks(path, cand) == expected, path
+                assert sorted(orbit_masks(path, cand)) == expected, path
 
     @staticmethod
     def _brute_force_mismatches(column_orbits, cases, seed, shuffle=False):
-        """Where ``column_orbits``' masks differ from the brute-force orbits.
+        """Where ``column_orbits``' parts differ from the brute-force orbits.
 
         At the root with every vertex, and along paths from each vertex v of
         length 1, 2 and 3 (seeded) with every vertex and with seeded random
-        candidate sets: the masks must partition the candidates, and two
-        candidates must share a mask exactly when a column permutation that
+        candidate sets: the parts must partition the candidates, and two
+        candidates must share a part exactly when a column permutation that
         fixes the path maps one to the other. ``shuffle`` puts each list in
         a seeded order first, so it is closed but not ascending; either way
         ``column_orbits`` is given the list's levels as they are read.
@@ -357,18 +357,17 @@ class TestOrbitPruning:
             for path, cand in calls:
                 fixing = [p for p in perms
                           if all(tuple(vecs[f][c] for c in p) == vecs[f] for f in path)]
-                masks = orbit_masks(path, cand)
-                members = [w for w in range(nv) if cand >> (nv - 1 - w) & 1]
-                assert sorted(masks) == members, (n, k, cap, path)
-                chosen = {vecs[w] for w in members}
-                for w in members:
-                    mask = masks[w]
-                    assert mask >> (nv - 1 - w) & 1 and not mask & ~cand, (n, k, cap, path, w)
-                    same = [u for u in members if mask >> (nv - 1 - u) & 1]
-                    assert all(masks[u] == mask for u in same), (n, k, cap, path, w)
-                    orbit = {tuple(vecs[w][c] for c in p) for p in fixing}
-                    if {vecs[u] for u in same} != orbit & chosen:
-                        mismatches.append((n, k, cap, path, vecs[w]))
+                parts = orbit_masks(path, cand)
+                # nonzero, and disjoint exactly when their sum is their union
+                assert 0 not in parts, (n, k, cap, path)
+                assert sum(parts) == reduce(or_, parts, 0) == cand, (n, k, cap, path)
+                chosen = {vecs[w] for w in range(nv) if cand >> (nv - 1 - w) & 1}
+                for part in parts:
+                    same = [u for u in range(nv) if part >> (nv - 1 - u) & 1]
+                    for w in same:
+                        orbit = {tuple(vecs[w][c] for c in p) for p in fixing}
+                        if {vecs[u] for u in same} != orbit & chosen:
+                            mismatches.append((n, k, cap, path, vecs[w]))
         return mismatches
 
     CASES = [(4, 3, None), (5, 3, None), (4, 4, 2)]
@@ -406,9 +405,10 @@ class TestOrbitPruning:
         # every enumeration of at most 130 vertices, refuted at max - 1 and
         # at max with orbit pruning; max comes from the plain search, which
         # needs at most 3,571 nodes on every other list and gives up on two
-        # dense set systems (20M and 1.7M nodes)
+        # dense set systems (20M and 1.7M nodes); the pruned searches' node
+        # counts are pinned by their sum
         budget = kernels.DEFAULT_NODE_BUDGET
-        refuted, too_hard = 0, []
+        refuted, nodes, too_hard = 0, 0, []
         for n in range(1, 10):
             for k in range(1, 7):
                 for cap in (None, 1, 2):
@@ -427,14 +427,15 @@ class TestOrbitPruning:
                         for lb in (best - 1, best):
                             if lb <= 0:
                                 continue
-                            size, witness, _ = pure.branch_and_bound(adj, budget, 0, lb, orbits)
+                            size, witness, used = pure.branch_and_bound(adj, budget, 0, lb, orbits)
                             assert size == max(best, lb), (n, k, cap, t, lb)
                             assert len(witness) in (0, size)
                             top = len(adj) - 1
                             assert all(adj[a] >> (top - b) & 1 for a in witness for b in witness)
                             refuted += 1
+                            nodes += used
         assert too_hard == [(9, 4, 1, 1), (9, 5, 1, 2)]
-        assert refuted == 538
+        assert (refuted, nodes) == (538, 5610)
 
     def test_orbit_calls(self):
         # the search asks for orbits at the root with every vertex, then below
