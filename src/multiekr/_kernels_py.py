@@ -47,6 +47,7 @@ from itertools import chain, compress, islice, repeat
 from operator import lt, or_
 from typing import Callable, Iterable, Optional, Sequence
 
+from .bounds import count_multisets
 from .errors import BudgetError, DimensionError, ParameterError
 
 
@@ -267,8 +268,6 @@ def _canonical_levels(vectors: list[tuple[int, ...]], k: int) -> Optional[list[l
     ParameterError when an entry of an ascending list exceeds k and
     DimensionError when its vectors differ in length.
     """
-    from .core import count_multisets  # core imports this module
-
     s = sum(vectors[0]) if vectors else 0
     if s < 1 or not all(map(lt, vectors, islice(vectors, 1, None))):
         return None
@@ -466,17 +465,16 @@ def branch_and_bound(
     seeds the incumbent size without a witness; if nothing larger is found
     the returned witness list is empty.
 
-    ``orbits``, when given, prunes by symmetry at depths 0 and 1. It is an
-    ``orbit_masks`` callback as :func:`column_orbits` states it: given a
-    path and a candidate set, it returns the set's partition into orbits of
-    a group of graph automorphisms that fix the path and map the set onto
-    itself. The search asks for the partition of all vertices at the root,
-    and below each root branch on v for that of the depth-1 candidates with
-    the path ``(v,)``. Once the branch on v at depth 0 or 1 is exhausted,
-    the part that holds v, its whole orbit, leaves that depth's candidate
-    set, and the colour order skips the vertices that left. The size stays
-    exact; the witness is then one maximum clique, not necessarily the one
-    the plain search returns.
+    ``orbits``, when given, prunes by symmetry. It is an ``orbit_masks``
+    callback as :func:`column_orbits` states it: given a path and a
+    candidate set, it returns the set's partition into orbits of a group of
+    graph automorphisms that fix the path and map the set onto itself. The
+    node rule: each node whose path has fewer than two vertices asks for
+    its candidates' partition on entry; once its branch on v is exhausted,
+    the part that holds v, v's whole orbit, leaves its candidate set, and
+    the colour order skips the vertices that left. The size stays exact;
+    the witness is then one maximum clique, not necessarily the one the
+    plain search returns.
 
     Returns (best_size, sorted_witness, nodes). Raises BudgetError when
     more than ``node_budget`` tree nodes would be expanded.
@@ -484,7 +482,7 @@ def branch_and_bound(
     nv = len(adj)
     state = [max(0, lower_bound), [], 0]  # best_size, best, nodes
 
-    def expand(cur: list[int], cand: int, orbit_of: Optional[list[int]]) -> None:
+    def expand(cur: list[int], cand: int) -> None:
         state[2] += 1
         if state[2] > node_budget:
             raise BudgetError(
@@ -492,11 +490,7 @@ def branch_and_bound(
             )
         if stop_at > 0 and state[0] >= stop_at:
             return
-        if cand == 0:
-            if len(cur) > state[0]:
-                state[0] = len(cur)
-                state[1] = cur.copy()
-            return
+        parts = orbits(tuple(cur), cand) if orbits is not None and len(cur) < 2 else None
         # greedy coloring; order holds vertices by ascending color
         order: list[int] = []
         color_of: list[int] = []
@@ -523,25 +517,20 @@ def branch_and_bound(
             sub = cand & adj[v]
             cur.append(v)
             if sub:
-                below = None
-                if orbit_of is not None and len(cur) == 1:
-                    below = orbits((v,), sub)
-                expand(cur, sub, below)
+                expand(cur, sub)
             elif len(cur) > state[0]:
                 state[0] = len(cur)
                 state[1] = cur.copy()
             cur.pop()
-            if orbit_of is not None:
-                cand &= ~next(p for p in orbit_of if p & bit)
+            if parts is not None:
+                cand &= ~next(p for p in parts if p & bit)
             if stop_at > 0 and state[0] >= stop_at:
                 return
 
-    everyone = (1 << nv) - 1
-    root = orbits((), everyone) if orbits is not None else None
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 2 * nv + 200))
     try:
-        expand([], everyone, root)
+        expand([], (1 << nv) - 1)
     finally:
         sys.setrecursionlimit(old_limit)
         del expand  # it refers to itself; without this the graph waits for gc

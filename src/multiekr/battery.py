@@ -138,12 +138,15 @@ def _sharpness_grid(limit: int) -> list[tuple[int, int, int]]:
 
 
 def sharpness(quick: bool = False) -> Iterator[Row]:
-    """Criterion 3: max |F| = AK(n+k-1, k, t), exhaustively.
+    """Criterion 3: max |F| = AK(n+k-1, k, t) on the grid.
 
-    The independent oracle (pivoted Bron–Kerbosch, no size bound and no
-    code shared with the pruned search) re-checks every instance of at most
-    ORACLE_LIMIT vertices. ``quick`` keeps the instances of at most
-    QUICK_SHARPNESS_LIMIT vertices and skips the oracle.
+    Every grid point's bound is proven, and the pruned search stops there,
+    so its "sharpness" rows show max >= bound. Only the "sharpness_oracle"
+    rows, from the independent oracle (pivoted Bron–Kerbosch, no size
+    bound, no stop and no code shared with the pruned search), show
+    max = bound, on every instance of at most ORACLE_LIMIT vertices.
+    ``quick`` keeps the instances of at most QUICK_SHARPNESS_LIMIT vertices
+    and skips the oracle.
     """
     limit = QUICK_SHARPNESS_LIMIT if quick else SHARPNESS_LIMIT
     for n, k, t in _sharpness_grid(limit):

@@ -14,14 +14,15 @@ function on the lifted ground set of n+k-1 points, which is what
 
 The parameter rules live here once each, as a predicate and a check that
 raises: the (n, k, t) domain, the compression range n >= 2k-t, and the
-window domain of A(n, k, t, i). The other modules read them from here.
+window domain of A(n, k, t, i); :func:`multiset_height` checks n, k and
+a cap. The other modules read them from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .errors import ParameterError, PreconditionError
 
@@ -69,6 +70,31 @@ def check_window_domain(n: int, k: int, t: int, i: int) -> None:
         raise ParameterError(
             f"need 0 <= t <= k <= n, i >= 0, t+2i <= n, t+i <= k; got {(n, k, t, i)}"
         )
+
+
+def multiset_height(n: int, k: int, cap: Optional[int] = None) -> int:
+    """Raise ParameterError unless n >= 1, k >= 0 and cap >= 1 when given;
+    return the largest multiplicity a k-multiset of [n] under the cap has."""
+    if n < 1:
+        raise ParameterError("need n >= 1")
+    if k < 0:
+        raise ParameterError("need k >= 0")
+    if cap is not None and cap < 1:
+        raise ParameterError("cap must be >= 1 when given")
+    return k if cap is None else min(cap, k)
+
+
+def count_multisets(n: int, k: int, cap: Optional[int] = None) -> int:
+    """Number of k-multisets of [n], honoring an optional height cap.
+
+    Inclusion–exclusion over j columns above the height h, in O(k/(h+1))
+    terms: sum_j (-1)^j C(n, j) C(n+k-1-j(h+1), k-j(h+1)).
+    """
+    top = multiset_height(n, k, cap)
+    return sum(
+        (-1) ** j * comb(n, j) * comb(n + k - 1 - j * (top + 1), k - j * (top + 1))
+        for j in range(min(n, k // (top + 1)) + 1)
+    )
 
 
 def ak_family_size(n: int, k: int, t: int, i: int) -> int:

@@ -24,11 +24,11 @@ and operators, and iterating a family yields :class:`Multiset` views.
 from __future__ import annotations
 
 import re
-from math import comb
 from operator import index
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import kernels
+from .bounds import count_multisets, multiset_height  # noqa: F401 (count_multisets re-exported)
 from .errors import DimensionError, FormatError, ParameterError
 
 
@@ -145,7 +145,7 @@ def multiset_vectors(
     only the vectors are read; :func:`enumerate_multisets` wraps each one as
     a validated :class:`Multiset` for callers that want the members.
     """
-    top = _height(n, k, cap)
+    top = multiset_height(n, k, cap)
     if k > top * n:
         return
     # the smallest vector packs the mass to the right, at most top per column
@@ -205,30 +205,6 @@ def _pack_right(vec: list[int], mass: int, top: int) -> None:
     vec[n - full :] = [top] * full
     if rest:
         vec[n - full - 1] = rest
-
-
-def _height(n: int, k: int, cap: Optional[int]) -> int:
-    """Validate n, k and cap; return the largest multiplicity a member has."""
-    if n < 1:
-        raise ParameterError("need n >= 1")
-    if k < 0:
-        raise ParameterError("need k >= 0")
-    if cap is not None and cap < 1:
-        raise ParameterError("cap must be >= 1 when given")
-    return k if cap is None else min(cap, k)
-
-
-def count_multisets(n: int, k: int, cap: Optional[int] = None) -> int:
-    """Number of k-multisets of [n], honoring an optional height cap.
-
-    Inclusion–exclusion over j columns above the height h, in O(k/(h+1))
-    terms: sum_j (-1)^j C(n, j) C(n+k-1-j(h+1), k-j(h+1)).
-    """
-    top = _height(n, k, cap)
-    return sum(
-        (-1) ** j * comb(n, j) * comb(n + k - 1 - j * (top + 1), k - j * (top + 1))
-        for j in range(min(n, k // (top + 1)) + 1)
-    )
 
 
 class Family:

@@ -47,10 +47,10 @@ def max_t_clique(
     order, s >= 1, and None for any other list, which the adjacency build
     then reads pair by pair. When ``lower_bound`` > 0 and the list is
     canonical, and so closed under column permutations, the search also
-    prunes their orbits at depths 0 and 1, built from the same levels: the
-    size is the same, the node count smaller, and a witness (found only
-    when the maximum exceeds ``lower_bound``) may differ from the plain
-    search's.
+    prunes by their orbits, built from the same levels, at the nodes that
+    ``_kernels_py.branch_and_bound`` states: the size is the same, the
+    node count smaller, and a witness (found only when the maximum exceeds
+    ``lower_bound``) may differ from the plain search's.
 
     Returns (best_size, witness_indices, nodes). Raises BudgetError when
     more than ``node_budget`` tree nodes would be expanded, ParameterError

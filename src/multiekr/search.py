@@ -165,10 +165,12 @@ def max_t_intersecting(
     """Exact maximum size of a t-intersecting family of k-multisets of [n].
 
     Needs 1 <= t <= k and n >= 1. ``method`` selects the engine: "pruned"
-    is the branch-and-bound with the greedy-coloring bound (plus, where
-    multiset_bound_proven holds, early stop at the proven AK bound, which
-    cannot change the exact result); "oracle" is the independent
-    cross-check, the largest maximal clique by pivoted Bron–Kerbosch.
+    is the branch-and-bound with the greedy-coloring bound. Where
+    multiset_bound_proven holds, it stops as soon as it holds a family of
+    the proven AK bound's size: the result is the maximum by the theorem,
+    but the search itself then shows only max >= bound. "oracle" is the
+    independent cross-check, the largest maximal clique by pivoted
+    Bron–Kerbosch, searched to the end: it shows max = bound.
     Budgets are hard: exceeding the vertex or node budget raises
     BudgetError rather than degrading.
     """

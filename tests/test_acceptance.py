@@ -58,7 +58,7 @@ def test_criterion_2_degenerate_corner_is_equality():
 
 
 def test_criterion_3_exhaustive_sharpness():
-    rows = _passing(battery.sharpness(), "3 exhaustive sharpness")
+    rows = _passing(battery.sharpness(), "3 sharpness")
     sharp = _of(rows, "sharpness")
     assert len(sharp) == 608
     assert len(_of(rows, "sharpness_oracle")) == 150

@@ -37,6 +37,9 @@ class TestBackendContracts:
     def test_empty_instance(self, backend):
         assert kernels.max_t_clique([], 2, 1) == (0, [], 0)
         assert backend.branch_and_bound([], 5, 0, 3) == (3, [], 1)
+        # the root of the empty graph has no candidates; it asks for their
+        # partition and returns the seeded incumbent, as without orbits
+        assert backend.branch_and_bound([], 5, 0, 3, lambda path, cand: []) == (3, [], 1)
 
     def test_stop_at_still_exact(self, backend):
         vecs = list(multiset_vectors(3, 2))
@@ -438,8 +441,9 @@ class TestOrbitPruning:
         assert (refuted, nodes) == (538, 5610)
 
     def test_orbit_calls(self):
-        # the search asks for orbits at the root with every vertex, then below
-        # each root branch on v with v's depth-1 candidates, in order
+        # each node whose path has fewer than two vertices asks for its own
+        # candidates' orbits: the root with every vertex, then each root
+        # branch on v with v's depth-1 candidates, in order
         vecs = list(multiset_vectors(8, 6))
         levels = pure._canonical_levels(vecs, 6)
         adj = pure.adjacency_bitsets(vecs, 6, 4, levels)
@@ -456,7 +460,8 @@ class TestOrbitPruning:
         )
         top = len(adj) - 1
         assert calls[0] == ((), (1 << len(adj)) - 1)
-        assert len(calls) > 1
+        assert len(calls) == 8
+        assert all(len(path) < 2 for path, _ in calls)
         assert len({path for path, _ in calls}) == len(calls)  # one call per root branch
         for (v,), cand in calls[1:]:
             assert cand and not cand & ~adj[v] and not cand >> (top - v) & 1, v
