@@ -219,8 +219,19 @@ def build_kernel_family(n: int, k: int, region: Multiset, r: int) -> Family:
 
     Any two members meet inside the region in at least 2r - |region|
     elements, so the family is (2r - |region|)-intersecting by
-    construction. The sum of minima runs over the region's nonzero
-    columns only, since min(0, b) = 0.
+    construction.
+
+    Only the members are enumerated. Each one splits at w, one past the
+    region's last nonzero column: its head, columns 1..w, decides
+    |F cap region| >= r by itself, since min(0, b) = 0 beyond w. The heads
+    come from the odometer as the (w+1)-vectors of sum k, whose last entry
+    is the slack that the tail, columns w+1..n, must hold. Each passing head
+    is joined to every tail of its slack, and each slack's tails are
+    enumerated once, by the same odometer. So the cost is C(w+k, k) head
+    tests plus one tuple concatenation per member, not a test of each of
+    the C(n+k-1, k) k-multisets of [n]. A region that reaches column n has
+    no tail; its heads are the k-multisets of [n] themselves. Heads and
+    tails both come in canonical order, so the members do too.
     """
     if region.n != n:
         raise DimensionError(f"region has n={region.n}, expected {n}")
@@ -230,11 +241,21 @@ def build_kernel_family(n: int, k: int, region: Multiset, r: int) -> Family:
         raise ParameterError(
             f"region cardinality {region.k} exceeds member cardinality {k}"
         )
-    support = [(c, a) for c, a in enumerate(region.mult) if a]
+    w = max((c + 1 for c, a in enumerate(region.mult) if a), default=0)
+    front = region.mult[:w]  # map(min, front, head) stops before the slack
+    if w == n:
+        members = [
+            head for head in multiset_vectors(n, k) if sum(map(min, front, head)) >= r
+        ]
+        return Family(members, n=n, k=k)
     members = []
-    for vec in multiset_vectors(n, k):
-        if sum(a if a < vec[c] else vec[c] for c, a in support) >= r:
-            members.append(vec)
+    tails = {}
+    for head in multiset_vectors(w + 1, k):
+        if sum(map(min, front, head)) >= r:
+            slack = head[w]
+            if slack not in tails:
+                tails[slack] = list(multiset_vectors(n - w, slack))
+            members.extend(map(head[:w].__add__, tails[slack]))
     return Family(members, n=n, k=k)
 
 
@@ -302,12 +323,15 @@ def build_optimal_multiset_family(n: int, k: int, t: int) -> Family:
     Realized as a support threshold: take every k-multiset whose support
     meets the first t + 2*i_star columns in at least t + i_star places,
     where i_star is the maximizing index of the bound; that is the kernel
-    family of the 0/1 row over those columns at level t + i_star. Needs
-    1 <= t <= k and n >= 2k - t, so the window fits: t + 2*i_star <= 2k - t
-    as i_star <= k - t. The result is certified at runtime — t-intersection
-    is rechecked and the size must equal multiset_bound(n, k, t); a
-    CertificationError means the realization is wrong at this instance,
-    never that the bound is.
+    family of the 0/1 row over those columns at level t + i_star. It is
+    built split after the window of w = t + 2*i_star columns: C(w+k, k)
+    heads are tested, and each passing head is joined to its tails, so the
+    cost is those tests plus one join per member, not a test of each of the
+    C(n+k-1, k) multisets of [n]. Needs 1 <= t <= k and n >= 2k - t, so
+    the window fits: t + 2*i_star <= 2k - t as i_star <= k - t. The result
+    is certified at runtime — t-intersection is rechecked and the size must
+    equal multiset_bound(n, k, t); a CertificationError means the
+    realization is wrong at this instance, never that the bound is.
     """
     check_domain(n, k, t)
     check_compression_range(n, k, t, "build_optimal_multiset_family")

@@ -18,6 +18,7 @@ from multiekr import (
     count_multisets,
     down_compress,
     enumerate_multisets,
+    intersection_size,
     is_t_intersecting,
     lift_to_sets,
     max_t_intersecting,
@@ -27,7 +28,7 @@ from multiekr import (
     support_profile,
     verify_theorem,
 )
-from multiekr import battery, kernels
+from multiekr import battery, kernels, search
 from multiekr.bounds import ak
 from multiekr.search import _oracle_graph, _oracle_max_clique
 
@@ -251,6 +252,14 @@ def _containing(n, k, center):
     return Family(members, n=n, k=k)
 
 
+def _kernel_filter(n, k, region, r):
+    """The k-multisets F of [n] with |F cap region| >= r, by definition."""
+    members = [
+        m for m in enumerate_multisets(n, k) if intersection_size(m, region) >= r
+    ]
+    return Family(members, n=n, k=k)
+
+
 def _support_threshold(n, k, window, need):
     """The k-multisets of [n] with >= need support columns among the first window."""
     members = [
@@ -304,6 +313,54 @@ class TestBuildKernelFamily:
         fam = build_kernel_family(7, 5, region, 4)
         assert len(fam) == 31 > star_bound(7, 5, 3) == 28
         assert is_t_intersecting(fam, 3)
+
+    def test_matches_definition(self):
+        # every region with entries <= 2 on n <= 5, each k from |region| to 5
+        # and each level r in 0..|region|, then three larger edge cases: a
+        # support that reaches column n, the all-zero region and k = 0
+        cases = [
+            (n, k, Multiset(mult), r)
+            for n in range(1, 6)
+            for mult in itertools.product(range(3), repeat=n)
+            for k in range(sum(mult), 6)
+            for r in range(sum(mult) + 1)
+        ]
+        cases += [
+            (7, 4, Multiset((0, 1, 0, 0, 0, 0, 2)), 2),
+            (6, 3, Multiset((0,) * 6), 0),
+            (4, 0, Multiset((0,) * 4), 0),
+        ]
+        for n, k, region, r in cases:
+            fam = build_kernel_family(n, k, region, r)
+            assert fam == _kernel_filter(n, k, region, r), (n, k, region, r)
+
+    @pytest.mark.parametrize(
+        "build, w, k",
+        [
+            # k = 1 at n = 491: window 1, so 2 heads and 1 tail, not 491 vectors
+            (lambda: build_optimal_multiset_family(491, 1, 1), 1, 1),
+            # the (14,8,1) star: 9 heads and C(20, 7) = 77,520 members, not
+            # the 203,490 k-multisets of [14]
+            (
+                lambda: build_kernel_family(14, 8, Multiset((1,) + (0,) * 13), 1),
+                1,
+                8,
+            ),
+        ],
+        ids=["optimal-491-1-1", "star-14-8-1"],
+    )
+    def test_enumerates_heads_and_members_only(self, monkeypatch, build, w, k):
+        yielded = 0
+
+        def counted(*args):
+            nonlocal yielded
+            for vec in multiset_vectors(*args):
+                yielded += 1
+                yield vec
+
+        monkeypatch.setattr(search, "multiset_vectors", counted)
+        family = build()
+        assert yielded <= len(family) + comb(w + k, k)
 
     def test_guaranteed_intersection_level(self, small_corpus):
         import random
