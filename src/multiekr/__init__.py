@@ -12,8 +12,8 @@ Library surface:
   constructions, the lifting to set families, theorem verification;
 * :mod:`multiekr.cli` — the ``multiekr`` command-line frontend.
 
-The hot kernels run through :mod:`multiekr.kernels`, whose clique search
-is the pure-Python branch and bound.
+The hot kernels, the pair checks, the adjacency and the clique search,
+live in one module, :mod:`multiekr.kernels`.
 """
 
 from .bounds import (

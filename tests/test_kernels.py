@@ -1,11 +1,13 @@
 """Kernel tests: the adjacency against its definition, and the branch and
 bound's contracts, pinned node counts and orbit pruning."""
 
+import ast
 import gc
 import random
 from functools import reduce
 from itertools import permutations
 from operator import or_
+from pathlib import Path
 
 import pytest
 
@@ -18,36 +20,31 @@ from multiekr import (
     lift_to_sets,
     multiset_vectors,
 )
-from multiekr import _kernels_py as pure
 from multiekr import kernels
 from multiekr.bounds import multiset_bound
 
-# The search module under test, passed as ``backend`` and named in the test ids
-# by its module name.
-BACKEND = pytest.mark.parametrize("backend", [pure], ids=lambda module: module.__name__)
 
-
-@BACKEND
 class TestBackendContracts:
-    def test_budget_error(self, backend):
+    def test_budget_error(self):
         vecs = list(multiset_vectors(3, 2))
         with pytest.raises(BudgetError):
             kernels.max_t_clique(vecs, 2, 1, node_budget=2)
 
-    def test_empty_instance(self, backend):
-        assert kernels.max_t_clique([], 2, 1) == (0, [], 0)
-        assert backend.branch_and_bound([], 5, 0, 3) == (3, [], 1)
+    def test_empty_instance(self):
+        # the empty list is one root node, and lower_bound seeds it as any other
+        assert kernels.max_t_clique([], 2, 1) == (0, [], 1)
+        assert kernels.max_t_clique([], 2, 1, lower_bound=3) == (3, [], 1)
         # the root of the empty graph has no candidates; it asks for their
         # partition and returns the seeded incumbent, as without orbits
-        assert backend.branch_and_bound([], 5, 0, 3, lambda path, cand: []) == (3, [], 1)
+        assert kernels.branch_and_bound([], 5, 0, 3, lambda path, cand: []) == (3, [], 1)
 
-    def test_stop_at_still_exact(self, backend):
+    def test_stop_at_still_exact(self):
         vecs = list(multiset_vectors(3, 2))
         full = kernels.max_t_clique(vecs, 2, 1)
         stopped = kernels.max_t_clique(vecs, 2, 1, stop_at=full[0])
         assert stopped[0] == full[0]
 
-    def test_search_leaves_no_garbage(self, backend):
+    def test_search_leaves_no_garbage(self):
         # the graph must be freed on return, not when the collector next runs
         vecs = list(multiset_vectors(7, 5))
         gc.collect()
@@ -113,13 +110,13 @@ class TestAdjacency:
             cases.append((near_miss, 4, range(1, 5), False))
         cases.append((list(multiset_vectors(2, 300)), 300, (1, 256, 299), False))
         for vecs, k, ts, walks in cases:
-            levels = pure._canonical_levels(vecs, k)
+            levels = kernels._canonical_levels(vecs, k)
             if vecs:
                 assert (levels is not None) == walks, (vecs[:3], k)
             sizes = [[_shared(a, b) for b in vecs] for a in vecs]
             for t in ts:
                 expected = [_neighbours(row, i, t) for i, row in enumerate(sizes)]
-                assert pure.adjacency_bitsets(vecs, k, t, levels) == expected, (vecs[:3], k, t)
+                assert kernels.adjacency_bitsets(vecs, k, t, levels) == expected, (vecs[:3], k, t)
 
     def test_any_vertex_order(self):
         # out of canonical order, or with mixed sizes, a list has no levels
@@ -131,11 +128,11 @@ class TestAdjacency:
         for vecs, k in cases:
             for _ in range(3):
                 vecs = rng.sample(vecs, len(vecs))
-                assert pure._canonical_levels(vecs, k) is None
+                assert kernels._canonical_levels(vecs, k) is None
                 sizes = [[_shared(a, b) for b in vecs] for a in vecs]
                 for t in range(0, k + 2):
                     expected = [_neighbours(row, i, t) for i, row in enumerate(sizes)]
-                    assert pure.adjacency_bitsets(vecs, k, t, None) == expected, (vecs[:3], t)
+                    assert kernels.adjacency_bitsets(vecs, k, t, None) == expected, (vecs[:3], t)
 
     def test_ragged_list_raises(self):
         # a column that only some vectors have is no zero for the others:
@@ -145,9 +142,9 @@ class TestAdjacency:
         walkable = [(0, 2), (1, 1, 0), (2, 0)]  # s = 2, ascending: reaches the levels
         for vecs in (ragged, walkable):
             with pytest.raises(DimensionError):
-                pure.adjacency_bitsets(vecs, 2, 1, None)
+                kernels.adjacency_bitsets(vecs, 2, 1, None)
             with pytest.raises(DimensionError):
-                pure._column_levels(vecs, 2)
+                kernels._column_levels(vecs, 2)
             for lower_bound in (0, 1):
                 with pytest.raises(DimensionError):
                     kernels.max_t_clique(vecs, 2, 1, lower_bound=lower_bound)
@@ -159,13 +156,13 @@ class TestAdjacency:
         # and, in a refutation, the orbits; the wide 1-multiset lists of the
         # sharpness grid are canonical too, and read once
         reads = []
-        column_levels = pure._column_levels
+        column_levels = kernels._column_levels
 
         def counted(vectors, k):
             reads.append(len(vectors))
             return column_levels(vectors, k)
 
-        monkeypatch.setattr(pure, "_column_levels", counted)
+        monkeypatch.setattr(kernels, "_column_levels", counted)
         vecs = list(multiset_vectors(8, 5))
         bound = multiset_bound(8, 5, 3)
         assert kernels.max_t_clique(vecs, 5, 3, lower_bound=bound) == (bound, [], 27)
@@ -182,14 +179,13 @@ class TestAdjacency:
         # seeded sample of rows keeps the definition cheap
         for n, k, t in ((9, 6, 3), (10, 6, 4)):
             vecs = list(multiset_vectors(n, k))
-            adj = pure.adjacency_bitsets(vecs, k, t, pure._canonical_levels(vecs, k))
+            adj = kernels.adjacency_bitsets(vecs, k, t, kernels._canonical_levels(vecs, k))
             assert len(adj) == len(vecs)
             for i in random.Random(963).sample(range(len(vecs)), 60):
                 sizes = [_shared(vecs[i], other) for other in vecs]
                 assert adj[i] == _neighbours(sizes, i, t), (n, k, t, vecs[i])
 
 
-@BACKEND
 class TestNodeCounts:
     """Pinned branching: a faster graph build must not change the search."""
 
@@ -200,7 +196,7 @@ class TestNodeCounts:
             (9, 6, 4, 49, 206), (10, 6, 4, 55, 55),
         ],
     )
-    def test_search_to_bound(self, backend, n, k, t, size, nodes):
+    def test_search_to_bound(self, n, k, t, size, nodes):
         vecs = list(multiset_vectors(n, k))
         got, witness, explored = kernels.max_t_clique(
             vecs, k, t, stop_at=multiset_bound(n, k, t)
@@ -210,12 +206,12 @@ class TestNodeCounts:
     @pytest.mark.parametrize(
         "n,k,t,nodes", [(7, 5, 3, 518), (8, 5, 3, 2403), (8, 6, 4, 1994)]
     )
-    def test_refutation_at_bound(self, backend, n, k, t, nodes):
+    def test_refutation_at_bound(self, n, k, t, nodes):
         # without orbit pruning, as for a list that is not canonical
         vecs = list(multiset_vectors(n, k))
         bound = multiset_bound(n, k, t)
-        adj = backend.adjacency_bitsets(vecs, k, t, backend._canonical_levels(vecs, k))
-        assert backend.branch_and_bound(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound) == (
+        adj = kernels.adjacency_bitsets(vecs, k, t, kernels._canonical_levels(vecs, k))
+        assert kernels.branch_and_bound(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound) == (
             bound, [], nodes,
         )
 
@@ -224,7 +220,7 @@ class TestNodeCounts:
         [(7, 5, 3, 10), (8, 5, 3, 27), (8, 6, 4, 22), (10, 5, 3, 22), (9, 6, 4, 34),
          (10, 6, 4, 55)],
     )
-    def test_orbit_refutation_at_bound(self, backend, n, k, t, nodes):
+    def test_orbit_refutation_at_bound(self, n, k, t, nodes):
         vecs = list(multiset_vectors(n, k))
         bound = multiset_bound(n, k, t)
         assert kernels.max_t_clique(vecs, k, t, lower_bound=bound) == (bound, [], nodes)
@@ -234,20 +230,19 @@ class TestOrbitPruning:
     # seven of the ten 3-multisets of [3]: not closed under column permutations
     UNCLOSED = [(0, 0, 3), (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
-    @BACKEND
-    def test_unclosed_list_is_not_pruned(self, backend):
+    def test_unclosed_list_is_not_pruned(self):
         size, witness, _ = kernels.max_t_clique(self.UNCLOSED, 3, 2, lower_bound=2)
         assert size == len(witness) == 3
         assert kernels.all_pairs_at_least([self.UNCLOSED[i] for i in witness], 3, 2)
 
     def test_unguarded_shape_pruning_would_be_wrong(self):
         # why the guard matters: shape orbits on this list lose the answer
-        adj = pure.adjacency_bitsets(self.UNCLOSED, 3, 2, None)
+        adj = kernels.adjacency_bitsets(self.UNCLOSED, 3, 2, None)
 
         def shape_masks(path, cand):
             return _orbit_sets(lambda w: tuple(sorted(self.UNCLOSED[w])), cand, len(adj))
 
-        assert pure.branch_and_bound(adj, 1000, 0, 2, shape_masks)[0] == 2
+        assert kernels.branch_and_bound(adj, 1000, 0, 2, shape_masks)[0] == 2
 
     def test_closure_check(self):
         # only the canonical list, closed by construction, gets orbits: its
@@ -257,16 +252,16 @@ class TestOrbitPruning:
                 for cap in (None, 1, 2):
                     vecs = list(multiset_vectors(n, k, cap))
                     if vecs:
-                        assert pure._canonical_levels(vecs, k) is not None, (n, k, cap)
-        assert pure._canonical_levels(self.UNCLOSED, 3) is None
+                        assert kernels._canonical_levels(vecs, k) is not None, (n, k, cap)
+        assert kernels._canonical_levels(self.UNCLOSED, 3) is None
         vecs = list(multiset_vectors(4, 3))
         for i in range(len(vecs)):
-            assert pure._canonical_levels(vecs[:i] + vecs[i + 1:], 3) is None, vecs[i]
-        assert pure._canonical_levels(vecs + vecs[:1], 3) is None
+            assert kernels._canonical_levels(vecs[:i] + vecs[i + 1:], 3) is None, vecs[i]
+        assert kernels._canonical_levels(vecs + vecs[:1], 3) is None
         # the empty list is closed, and has no vertex to map
         assert kernels.column_orbits([], [])((), 0) == []
         # canonical, but an entry above a byte: no levels, so no pruning
-        assert pure._canonical_levels(list(multiset_vectors(2, 300)), 300) is None
+        assert kernels._canonical_levels(list(multiset_vectors(2, 300)), 300) is None
 
     def test_off_canonical_order_is_not_pruned(self):
         # a seeded shuffle is still closed, but is not the canonical list:
@@ -274,8 +269,8 @@ class TestOrbitPruning:
         vecs = random.Random(53).sample(list(multiset_vectors(5, 3)), 35)
         for t in (1, 2, 3):
             bound = multiset_bound(5, 3, t)
-            adj = pure.adjacency_bitsets(vecs, 3, t, None)
-            plain = pure.branch_and_bound(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound)
+            adj = kernels.adjacency_bitsets(vecs, 3, t, None)
+            plain = kernels.branch_and_bound(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound)
             assert plain[:2] == (bound, [])
             assert kernels.max_t_clique(vecs, 3, t, lower_bound=bound) == plain, t
 
@@ -283,7 +278,7 @@ class TestOrbitPruning:
         vecs = list(multiset_vectors(4, 3))
         nv = len(vecs)
         bit = {w: 1 << (nv - 1 - i) for i, w in enumerate(vecs)}
-        orbits = kernels.column_orbits(vecs, pure._canonical_levels(vecs, 3))
+        orbits = kernels.column_orbits(vecs, kernels._canonical_levels(vecs, 3))
         root = orbits((), (1 << nv) - 1)
         assert len(root) == 3  # shapes (3), (2,1), (1,1,1)
         assert all((_part_of(root, i, nv) == _part_of(root, j, nv)) == (sorted(a) == sorted(b))
@@ -308,7 +303,7 @@ class TestOrbitPruning:
         for n, k in ((1, 1), (2, 1), (5, 4), (6, 5), (9, 6)):
             vecs = list(multiset_vectors(n, k))
             nv = len(vecs)
-            orbit_masks = kernels.column_orbits(vecs, pure._canonical_levels(vecs, k))
+            orbit_masks = kernels.column_orbits(vecs, kernels._canonical_levels(vecs, k))
             sets = [0, 1 << (nv - 1), 1, (1 << nv) - 1] + [rng.getrandbits(nv) for _ in range(4)]
             for bits in sets:
                 for depth in range(min(nv, 2) + 1):
@@ -321,7 +316,7 @@ class TestOrbitPruning:
         # the list is closed, not canonical, so its levels are read here
         vecs = [(a, b) for a in range(23) for b in range(23)]
         nv = len(vecs)
-        orbit_masks = kernels.column_orbits(vecs, pure._column_levels(vecs, 255))
+        orbit_masks = kernels.column_orbits(vecs, kernels._column_levels(vecs, 255))
         assert len(orbit_masks((), (1 << nv) - 1)) == 276
         for path in ((), (vecs.index((3, 3)),), (vecs.index((3, 4)),)):
             for cand in ((1 << nv) - 1, random.Random(len(path)).getrandbits(nv)):
@@ -348,7 +343,7 @@ class TestOrbitPruning:
                 rng.shuffle(vecs)
             nv = len(vecs)
             everyone = (1 << nv) - 1
-            orbit_masks = column_orbits(vecs, pure._column_levels(vecs, 255))
+            orbit_masks = column_orbits(vecs, kernels._column_levels(vecs, 255))
             perms = list(permutations(range(n)))
             calls = [((), everyone)]
             for v in range(nv):
@@ -418,19 +413,19 @@ class TestOrbitPruning:
                     vecs = list(multiset_vectors(n, k, cap))
                     if not vecs or len(vecs) > 130:
                         continue
-                    levels = pure._canonical_levels(vecs, k)
+                    levels = kernels._canonical_levels(vecs, k)
                     orbits = kernels.column_orbits(vecs, levels)
                     for t in range(1, k + 1):
-                        adj = pure.adjacency_bitsets(vecs, k, t, levels)
+                        adj = kernels.adjacency_bitsets(vecs, k, t, levels)
                         try:
-                            best = pure.branch_and_bound(adj, 20_000, 0, 0)[0]
+                            best = kernels.branch_and_bound(adj, 20_000, 0, 0)[0]
                         except BudgetError:
                             too_hard.append((n, k, cap, t))
                             continue
                         for lb in (best - 1, best):
                             if lb <= 0:
                                 continue
-                            size, witness, used = pure.branch_and_bound(adj, budget, 0, lb, orbits)
+                            size, witness, used = kernels.branch_and_bound(adj, budget, 0, lb, orbits)
                             assert size == max(best, lb), (n, k, cap, t, lb)
                             assert len(witness) in (0, size)
                             top = len(adj) - 1
@@ -445,8 +440,8 @@ class TestOrbitPruning:
         # candidates' orbits: the root with every vertex, then each root
         # branch on v with v's depth-1 candidates, in order
         vecs = list(multiset_vectors(8, 6))
-        levels = pure._canonical_levels(vecs, 6)
-        adj = pure.adjacency_bitsets(vecs, 6, 4, levels)
+        levels = kernels._canonical_levels(vecs, 6)
+        adj = kernels.adjacency_bitsets(vecs, 6, 4, levels)
         bound = multiset_bound(8, 6, 4)
         orbits = kernels.column_orbits(vecs, levels)
         calls = []
@@ -455,7 +450,7 @@ class TestOrbitPruning:
             calls.append((path, cand))
             return orbits(path, cand)
 
-        assert pure.branch_and_bound(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound, recorded) == (
+        assert kernels.branch_and_bound(adj, kernels.DEFAULT_NODE_BUDGET, 0, bound, recorded) == (
             bound, [], 22,
         )
         top = len(adj) - 1
@@ -526,7 +521,7 @@ def pair_path(request, monkeypatch):
     the bit-sliced check serves t = 1 only, so at t >= 2 the pairs run."""
     forced = {"pairs": 10**9, "sliced": 0}.get(request.param)
     if forced is not None:
-        monkeypatch.setattr(pure, "SLICED_CELL_COST", forced)
+        monkeypatch.setattr(kernels, "SLICED_CELL_COST", forced)
     return request.param
 
 
@@ -625,6 +620,24 @@ class TestDispatch:
     def test_backend_reported(self):
         assert kernels.backend_name() == "python"
 
-    def test_dispatch_matches_selected_module(self):
-        vecs = list(multiset_vectors(3, 2))
-        assert kernels.max_t_clique(vecs, 2, 1)[0] == 3
+    def test_perfbench_seam(self):
+        # perfbench's tracer wraps these names by rebinding the function
+        # objects, so the seam module must hold the kernels' own function
+        from multiekr import _kernels_py
+
+        assert _kernels_py.adjacency_bitsets is kernels.adjacency_bitsets
+        for name in ("max_t_clique", "all_pairs_at_least", "all_pairs_at_least_in_region",
+                     "compatible_with_all"):
+            assert callable(getattr(kernels, name)), name
+        importers = []
+        for path in Path(kernels.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or "", *(alias.name for alias in node.names)]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(name.split(".")[-1] == "_kernels_py" for name in names):
+                    importers.append(path.name)
+        assert importers == []
